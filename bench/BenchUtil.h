@@ -7,8 +7,9 @@
 ///
 /// \file
 /// Shared plumbing for the table-reproduction harnesses: repetition counts
-/// (overridable via TSR_BENCH_REPS), aligned table printing, and the named
-/// tool configurations each table sweeps.
+/// (overridable via TSR_BENCH_REPS), aligned table printing, the paired-
+/// ratio summary of interleaved repetitions, and the named tool
+/// configurations each table sweeps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "runtime/Tsr.h"
 #include "support/Stats.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -65,6 +67,30 @@ inline std::string fmt(double V, int Decimals = 1) {
 /// Formats "mean (stddev)".
 inline std::string meanSd(const SampleStats &S, int Decimals = 1) {
   return fmt(S.mean(), Decimals) + " (" + fmt(S.stddev(), Decimals) + ")";
+}
+
+/// Median of \p V (0 when empty; the mean of the middle pair when even).
+inline double medianOf(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  return V.empty() ? 0.0
+                   : (V.size() % 2 ? V[V.size() / 2]
+                                   : (V[V.size() / 2 - 1] + V[V.size() / 2]) /
+                                         2.0);
+}
+
+/// Median of the per-round ratios Num[i] / Den[i] (rounds with Den[i] <= 0
+/// skipped). The two series come from cells run interleaved, one
+/// repetition of each per round, so each round's ratio sees the same host
+/// conditions: drift (frequency scaling, neighbours) that a ratio of means
+/// would read as a difference cancels, and the median sheds outliers.
+inline double medianPairedRatio(const std::vector<double> &Num,
+                                const std::vector<double> &Den) {
+  std::vector<double> Ratios;
+  const size_t N = std::min(Num.size(), Den.size());
+  for (size_t I = 0; I != N; ++I)
+    if (Den[I] > 0)
+      Ratios.push_back(Num[I] / Den[I]);
+  return medianOf(Ratios);
 }
 
 /// Formats an overhead multiplier like the paper's Tables 2 and 4.

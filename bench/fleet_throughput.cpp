@@ -59,8 +59,14 @@ SessionConfig sessionConfig(uint64_t SessionIndex) {
   SessionConfig C = presets::tsan11rec(StrategyKind::Random, Mode::Record,
                                        RecordPolicy::httpd());
   seedFor(C, SessionIndex, 57);
-  C.LivenessIntervalMs = 0; // one fewer OS thread per session
-  C.WatchdogTimeoutMs = 120000; // fleets timeslice one CPU; be patient
+  // No wall-clock reschedules: a session's demo stays a pure function of
+  // its seeds, so it can be compared with the solo recording.
+  C.LivenessIntervalMs = 0;
+  // Fleets timeslice the CPUs across many sessions; be patient before
+  // the watchdog escalates.
+  C.Watchdog.WarnAfterMs = 30000;
+  C.Watchdog.NudgeAfterMs = 60000;
+  C.Watchdog.SalvageAfterMs = 120000;
   return C;
 }
 

@@ -4,13 +4,12 @@
 // Controlled Scheduling" (PLDI 2019).
 //
 // Measures the scheduler hot path on a contended atomic-counter workload:
-// controlled-run tick throughput swept over {2, 4, 8} threads x
-// {broadcast, targeted} wake policies x {mutex, pipelined} tick-commit
-// modes x {random, queue} strategies. The schedule is identical under both
-// wake policies and both commit modes (neither moves a scheduling
+// controlled-run tick throughput swept over {2, 4, 8} threads x {mutex,
+// pipelined} tick-commit modes x {random, queue} strategies. The schedule
+// is identical under both commit modes (neither moves a scheduling
 // decision); only the handoff cost differs. Repetitions run interleaved
 // round-robin across all cells with a discarded warm-up round, and the
-// speedup columns are medians of per-round paired ratios, so host drift
+// speedup column is the median of per-round paired ratios, so host drift
 // (frequency scaling, neighbours) cancels instead of flattering whichever
 // cell ran last. Emits BENCH_sched_throughput.json alongside the table.
 //
@@ -18,7 +17,6 @@
 
 #include "BenchUtil.h"
 
-#include <algorithm>
 #include <chrono>
 
 using namespace tsr;
@@ -28,11 +26,9 @@ namespace {
 
 struct CellResult {
   std::string Name;
-  const char *Policy = "";   ///< "targeted" | "broadcast"
   const char *Commit = "";   ///< "pipelined" | "mutex"
   const char *Strategy = ""; ///< "random" | "queue"
   StrategyKind Strat = StrategyKind::Random;
-  WakePolicy Wake = WakePolicy::Targeted;
   TickCommitMode Mode = TickCommitMode::Mutex;
   int Threads = 0;
   SampleStats TicksPerSec;
@@ -45,29 +41,8 @@ struct CellResult {
   uint64_t FastPathCommits = 0;
   uint64_t SlowPathCommits = 0;
   uint64_t FastPathAborts = 0;
-  double SpeedupVsBroadcast = 1.0; ///< vs broadcast at the same threads.
-  double SpeedupVsMutex = 1.0;     ///< vs mutex commit, same cell otherwise.
+  double SpeedupVsMutex = 1.0; ///< vs mutex commit, same cell otherwise.
 };
-
-double medianOf(std::vector<double> V) {
-  std::sort(V.begin(), V.end());
-  return V.empty() ? 0.0
-                   : (V.size() % 2 ? V[V.size() / 2]
-                                   : (V[V.size() / 2 - 1] + V[V.size() / 2]) /
-                                         2.0);
-}
-
-/// Speedup of \p M over \p Base as the median of per-round paired ratios:
-/// the cells run interleaved, so each round's ratio sees the same host
-/// conditions and drift cancels.
-double speedupVs(const CellResult &Base, const CellResult &M) {
-  std::vector<double> Ratios;
-  const size_t N = std::min(Base.PerRound.size(), M.PerRound.size());
-  for (size_t I = 0; I != N; ++I)
-    if (Base.PerRound[I] > 0)
-      Ratios.push_back(M.PerRound[I] / Base.PerRound[I]);
-  return medianOf(Ratios);
-}
 
 /// Every fetchAdd is one visible op = one tick, so ticks/sec is a direct
 /// read of scheduler handoff cost. Detectors are off to keep the tick
@@ -77,7 +52,6 @@ void runOnce(CellResult &Out, int Rep, int OpsPerThread, bool Warmup) {
   C.Strategy = Out.Strat;
   C.ExecMode = Mode::Free;
   C.Controlled = true;
-  C.Wake = Out.Wake;
   C.TickCommit = Out.Mode;
   C.RaceDetection = false;
   C.WeakMemory = false;
@@ -116,21 +90,15 @@ void runOnce(CellResult &Out, int Rep, int OpsPerThread, bool Warmup) {
   Out.FastPathAborts = R.Sched.FastPathAborts;
 }
 
-CellResult makeCell(StrategyKind Strat, WakePolicy Wake, TickCommitMode Mode,
-                    int Threads) {
+CellResult makeCell(StrategyKind Strat, TickCommitMode Mode, int Threads) {
   CellResult C;
   C.Strat = Strat;
-  C.Wake = Wake;
   C.Mode = Mode;
   C.Threads = Threads;
-  C.Policy = Wake == WakePolicy::Targeted ? "targeted" : "broadcast";
   C.Commit = Mode == TickCommitMode::Pipelined ? "pipelined" : "mutex";
   C.Strategy = Strat == StrategyKind::Queue ? "queue" : "random";
-  if (Wake == WakePolicy::Broadcast)
-    C.Name = "broadcast-" + std::to_string(Threads);
-  else
-    C.Name = std::string(C.Strategy) + "-" + C.Commit + "-" +
-             std::to_string(Threads);
+  C.Name =
+      std::string(C.Strategy) + "-" + C.Commit + "-" + std::to_string(Threads);
   return C;
 }
 
@@ -140,24 +108,19 @@ int main() {
   const int Reps = envInt("TSR_BENCH_REPS", 5);
   const int OpsPerThread = envInt("TSR_BENCH_SCHED_OPS", 20000);
 
-  std::printf("Scheduler tick throughput: commit mode x wake policy x "
-              "strategy\n(atomic-counter workload, %d reps interleaved + 1 "
-              "warm-up, %d ops/thread)\n\n",
+  std::printf("Scheduler tick throughput: commit mode x strategy\n"
+              "(atomic-counter workload, %d reps interleaved + 1 warm-up, "
+              "%d ops/thread)\n\n",
               Reps, OpsPerThread);
 
-  // Broadcast (the legacy notify_all path, random strategy, mutex commit)
-  // anchors speedup_vs_broadcast; each pipelined cell pairs with the
-  // mutex cell that differs only in commit mode for speedup_vs_mutex.
+  // Each pipelined cell pairs with the mutex cell that differs only in
+  // commit mode for speedup_vs_mutex.
   std::vector<CellResult> Cells;
-  for (int Threads : {2, 4, 8}) {
-    Cells.push_back(makeCell(StrategyKind::Random, WakePolicy::Broadcast,
-                             TickCommitMode::Mutex, Threads));
+  for (int Threads : {2, 4, 8})
     for (StrategyKind Strat : {StrategyKind::Random, StrategyKind::Queue})
       for (TickCommitMode Mode :
            {TickCommitMode::Mutex, TickCommitMode::Pipelined})
-        Cells.push_back(
-            makeCell(Strat, WakePolicy::Targeted, Mode, Threads));
-  }
+        Cells.push_back(makeCell(Strat, Mode, Threads));
 
   // Interleave repetitions round-robin across every cell; the first round
   // is a discarded warm-up paying one-time costs (page faults, allocator
@@ -166,28 +129,21 @@ int main() {
     for (CellResult &C : Cells)
       runOnce(C, Rep < 0 ? 0 : Rep, OpsPerThread, /*Warmup=*/Rep < 0);
 
-  for (size_t I = 0; I != Cells.size(); ++I) {
-    CellResult &C = Cells[I];
-    for (const CellResult &Base : Cells) {
-      if (Base.Threads == C.Threads && Base.Wake == WakePolicy::Broadcast &&
-          C.Wake == WakePolicy::Targeted)
-        C.SpeedupVsBroadcast = speedupVs(Base, C);
+  for (CellResult &C : Cells)
+    for (const CellResult &Base : Cells)
       if (Base.Threads == C.Threads && Base.Strat == C.Strat &&
-          Base.Wake == C.Wake && Base.Mode == TickCommitMode::Mutex &&
+          Base.Mode == TickCommitMode::Mutex &&
           C.Mode == TickCommitMode::Pipelined)
-        C.SpeedupVsMutex = speedupVs(Base, C);
-    }
-  }
+        C.SpeedupVsMutex = medianPairedRatio(C.PerRound, Base.PerRound);
 
-  const std::vector<int> W = {20, 18, 12, 9, 9, 8, 8, 8, 9};
+  const std::vector<int> W = {20, 18, 12, 9, 8, 8, 8, 9};
   printRule(W);
-  printRow({"config", "ticks/sec", "wall ms", "vs bcast", "vs mutex",
-            "fast", "slow", "aborts", "spurious"},
+  printRow({"config", "ticks/sec", "wall ms", "vs mutex", "fast", "slow",
+            "aborts", "spurious"},
            W);
   printRule(W);
   for (const CellResult &R : Cells)
     printRow({R.Name, meanSd(R.TicksPerSec, 0), meanSd(R.WallMs, 1),
-              fmt(R.SpeedupVsBroadcast, 2) + "x",
               fmt(R.SpeedupVsMutex, 2) + "x",
               std::to_string(R.FastPathCommits),
               std::to_string(R.SlowPathCommits),
@@ -196,11 +152,10 @@ int main() {
              W);
   printRule(W);
   std::printf(
-      "\nvs bcast = median per-round ratio against the broadcast cell at "
-      "the same\nthread count; vs mutex = against the cell differing only "
-      "in commit mode.\nfast/slow/aborts split ticks between the lock-free "
-      "ticket pipeline and the\nmutex slow path; spurious stays zero under "
-      "targeted parking in every mode.\n");
+      "\nvs mutex = median per-round ratio against the cell differing only "
+      "in commit\nmode. fast/slow/aborts split ticks between the lock-free "
+      "ticket pipeline and the\nmutex slow path; spurious stays zero in "
+      "every mode.\n");
 
   FILE *F = std::fopen("BENCH_sched_throughput.json", "w");
   if (!F) {
@@ -216,15 +171,15 @@ int main() {
     const CellResult &R = Cells[I];
     std::fprintf(
         F,
-        "    {\"name\": \"%s\", \"policy\": \"%s\", \"commit\": \"%s\", "
+        "    {\"name\": \"%s\", \"commit\": \"%s\", "
         "\"strategy\": \"%s\", \"threads\": %d, \"ticks\": %llu,\n"
         "     \"spurious_wakeups\": %llu, \"targeted_wakeups\": %llu, "
         "\"broadcast_wakeups\": %llu,\n"
         "     \"fast_path_commits\": %llu, \"slow_path_commits\": %llu, "
         "\"fast_path_aborts\": %llu,\n"
-        "     \"speedup_vs_broadcast\": %.3f, \"speedup_vs_mutex\": %.3f,\n"
+        "     \"speedup_vs_mutex\": %.3f,\n"
         "     \"ticks_per_sec\": %s,\n     \"wall_ms\": %s}%s\n",
-        R.Name.c_str(), R.Policy, R.Commit, R.Strategy, R.Threads,
+        R.Name.c_str(), R.Commit, R.Strategy, R.Threads,
         static_cast<unsigned long long>(R.Ticks),
         static_cast<unsigned long long>(R.SpuriousWakeups),
         static_cast<unsigned long long>(R.TargetedWakeups),
@@ -232,7 +187,7 @@ int main() {
         static_cast<unsigned long long>(R.FastPathCommits),
         static_cast<unsigned long long>(R.SlowPathCommits),
         static_cast<unsigned long long>(R.FastPathAborts),
-        R.SpeedupVsBroadcast, R.SpeedupVsMutex,
+        R.SpeedupVsMutex,
         R.TicksPerSec.toJson(8).c_str(), R.WallMs.toJson(8).c_str(),
         I + 1 == Cells.size() ? "" : ",");
   }

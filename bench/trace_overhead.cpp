@@ -17,7 +17,6 @@
 
 #include "apps/pbzip/Pbzip.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -39,27 +38,6 @@ struct ModeResult {
   uint64_t TraceEvents = 0; ///< Events emitted in the last repetition.
   uint64_t TraceDropped = 0;
 };
-
-double medianOf(std::vector<double> V) {
-  std::sort(V.begin(), V.end());
-  return V.empty() ? 0.0
-                   : (V.size() % 2 ? V[V.size() / 2]
-                                   : (V[V.size() / 2 - 1] + V[V.size() / 2]) /
-                                         2.0);
-}
-
-/// Overhead of \p M vs the baseline: the modes run interleaved, one
-/// repetition of each per round, so per-round ratios pair off host drift
-/// (frequency scaling, neighbours) that a plain mean-of-means would read
-/// as tracing cost. The median ratio then sheds the remaining outliers.
-double overheadVsBase(const ModeResult &BaseMode, const ModeResult &M) {
-  std::vector<double> Ratios;
-  const size_t N = std::min(BaseMode.PerRound.size(), M.PerRound.size());
-  for (size_t I = 0; I != N; ++I)
-    if (M.PerRound[I] > 0)
-      Ratios.push_back(BaseMode.PerRound[I] / M.PerRound[I]);
-  return medianOf(Ratios);
-}
 
 /// One repetition of one mode; records the sample unless \p Warmup.
 void runOnce(ModeResult &Out, int Rep, int InputRepeats, bool Warmup) {
@@ -140,7 +118,8 @@ int main() {
   printRule(W);
   for (const ModeResult &R : Results)
     printRow({R.Name, meanSd(R.TicksPerSec, 0), meanSd(R.WallMs, 1),
-              overhead(overheadVsBase(Results[0], R), 1.0),
+              overhead(medianPairedRatio(Results[0].PerRound, R.PerRound),
+                       1.0),
               std::to_string(R.TraceEvents),
               std::to_string(R.TraceDropped)},
              W);
@@ -168,7 +147,7 @@ int main() {
         R.Name.c_str(), static_cast<unsigned long long>(R.Ticks),
         static_cast<unsigned long long>(R.TraceEvents),
         static_cast<unsigned long long>(R.TraceDropped),
-        overheadVsBase(Results[0], R),
+        medianPairedRatio(Results[0].PerRound, R.PerRound),
         R.TicksPerSec.toJson(8).c_str(), R.WallMs.toJson(8).c_str(),
         I + 1 == Results.size() ? "" : ",");
   }

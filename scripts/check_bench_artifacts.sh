@@ -48,10 +48,10 @@ check BENCH_profile_overhead.json \
   telemetry_frames overhead_vs_off ticks_per_sec wall_ms p50 p95 p99
 
 check BENCH_sched_throughput.json \
-  bench workload reps ops_per_thread configs name policy commit strategy \
+  bench workload reps ops_per_thread configs name commit strategy \
   threads ticks spurious_wakeups targeted_wakeups broadcast_wakeups \
   fast_path_commits slow_path_commits fast_path_aborts \
-  speedup_vs_broadcast speedup_vs_mutex ticks_per_sec wall_ms p50 p95 p99
+  speedup_vs_mutex ticks_per_sec wall_ms p50 p95 p99
 
 check BENCH_recovery.json \
   bench workload reps modes name overhead_vs_strict ticks actions \

@@ -34,7 +34,8 @@
 #                   retry suites at TSR_CHAOS_MUTANTS=120, then a CLI
 #                   exit-code sweep over dd-corrupted on-disk demos
 #                   (verify/repair must honour the 0/1/2 contract —
-#                   never crash, never hang).
+#                   never crash, never hang; a v2 stream header must fail
+#                   verify with exit 1, naming the stream and version).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -198,6 +199,19 @@ run_chaos_cli() {
     rm -rf "$work"
     i=$(( i + 1 ))
   done
+  # A stream of another format version is corrupt, not unreadable: verify
+  # exits 1 and names the stream and the version.
+  echo "== chaos: v2 stream header is rejected by name"
+  work="$scratch/v2"
+  cp -r "$demo" "$work"
+  printf '\002' | dd of="$work/QUEUE" bs=1 seek=4 conv=notrunc 2>/dev/null
+  rc=0
+  out="$("$dir/tools/tsr-demo-dump" verify "$work" 2>&1)" || rc=$?
+  if [ "$rc" -ne 1 ] ||
+    ! echo "$out" | grep -q 'QUEUE stream is demo format version 2'; then
+    echo "chaos: v2 QUEUE stream not rejected by name (exit $rc)" >&2
+    exit 1
+  fi
   rm -rf "$scratch"
 }
 

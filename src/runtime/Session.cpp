@@ -270,8 +270,6 @@ Session::Session(SessionConfig Config) : Config(std::move(Config)) {
 }
 
 Session::~Session() {
-  stopLiveness();
-  stopWatchdog();
   {
     std::lock_guard<std::mutex> L(ThreadsMu);
     for (std::thread &T : OsThreads)
@@ -312,8 +310,7 @@ bool Session::checkMeta(std::string &Error) {
     Error = "demo META missing or not a tsr demo";
     return false;
   }
-  if (!R.readVarU64(Version) || (Version != Demo::FormatVersion &&
-                                 Version != Demo::LegacyFormatVersion)) {
+  if (!R.readVarU64(Version) || Version != Demo::FormatVersion) {
     Error = "demo format version mismatch";
     return false;
   }
@@ -401,7 +398,6 @@ RunReport Session::run(std::function<void()> MainFn) {
   SO.Seed0 = UsedSeed0;
   SO.Seed1 = UsedSeed1;
   SO.Controlled = Config.Controlled;
-  SO.Wake = Config.Wake;
   SO.TickCommit = Config.TickCommit;
   SO.AbortOnHardDesync = Config.AbortOnHardDesync;
   SO.AbortOnDeadlock = Config.AbortOnDeadlock;
@@ -452,94 +448,6 @@ RunReport Session::run(std::function<void()> MainFn) {
   Cost->threadStart(0, InvalidTid);
   Env->start();
 
-  if (Config.LivenessIntervalMs) {
-    LivenessThread = std::thread([this] {
-      std::unique_lock<std::mutex> L(LivenessMu);
-      while (!StopLivenessFlag) {
-        if (LivenessCv.wait_for(
-                L, std::chrono::milliseconds(Config.LivenessIntervalMs)) ==
-            std::cv_status::timeout)
-          Sched->livenessPoll();
-      }
-    });
-  }
-
-  if (Config.Watchdog.Enabled) {
-    // Tick-watchdog supervision: escalate through warn -> nudge ->
-    // salvage while the tick frontier stays frozen. Each rung fires at
-    // its wall-clock deadline, or earlier when the virtual makespan grows
-    // by StallVirtualNs x {1,2,4} with no tick (a run burning virtual
-    // time in invisible code). A mid-run trace snapshot is forbidden
-    // (TraceRecorder requires the emitting threads joined), so the warn
-    // rung emits the scheduler state dump; the final report still carries
-    // the trace excerpt around the salvage tick.
-    WatchdogThread = std::thread([this] {
-      std::unique_lock<std::mutex> L(WatchdogMu);
-      uint64_t LastTick = ~0ull;
-      VTime VirtualBase = 0;
-      auto LastChange = std::chrono::steady_clock::now();
-      unsigned Rung = 0;
-      while (!StopWatchdogFlag) {
-        if (WatchdogCv.wait_for(
-                L, std::chrono::milliseconds(Config.Watchdog.PollMs)) !=
-            std::cv_status::timeout)
-          continue;
-        const uint64_t Tick = Sched->currentTick();
-        const auto Now = std::chrono::steady_clock::now();
-        if (Tick != LastTick) {
-          LastTick = Tick;
-          LastChange = Now;
-          VirtualBase = Cost->makespan();
-          Rung = 0;
-          continue;
-        }
-        const uint64_t StalledMs =
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    Now - LastChange)
-                    .count());
-        const VTime VirtualGrowth = Cost->makespan() - VirtualBase;
-        const auto Due = [&](uint64_t WallMs, unsigned Mult) {
-          if (StalledMs >= WallMs)
-            return true;
-          return Config.Watchdog.StallVirtualNs != 0 &&
-                 VirtualGrowth >= Config.Watchdog.StallVirtualNs * Mult;
-        };
-        if (Rung == 0 && Due(Config.Watchdog.WarnAfterMs, 1)) {
-          Rung = 1;
-          const SchedulerStats S = Sched->statsSnapshot();
-          warn("watchdog: tick frontier frozen at %llu for %llu ms "
-               "(%llu ticks total, %llu reschedules)\n%s",
-               static_cast<unsigned long long>(Tick),
-               static_cast<unsigned long long>(StalledMs),
-               static_cast<unsigned long long>(S.Ticks),
-               static_cast<unsigned long long>(S.Reschedules),
-               Sched->dumpState().c_str());
-          Recoveries.record({RecoveryActionKind::WatchdogWarn, Tick,
-                             InvalidTid, StreamKind::Meta, StalledMs,
-                             "tick frontier frozen"});
-        }
-        if (Rung == 1 && Due(Config.Watchdog.NudgeAfterMs, 2)) {
-          Rung = 2;
-          if (Sched->watchdogNudge())
-            Recoveries.record({RecoveryActionKind::WatchdogNudge, Tick,
-                               InvalidTid, StreamKind::Meta, StalledMs,
-                               "forced strategy decision / broadcast wake"});
-        }
-        if (Rung == 2 && Due(Config.Watchdog.SalvageAfterMs, 4)) {
-          Rung = 3;
-          const std::string Why = formatString(
-              "watchdog: no tick for %llu ms despite warn and nudge",
-              static_cast<unsigned long long>(StalledMs));
-          if (Sched->salvageStall(Why))
-            Recoveries.record({RecoveryActionKind::WatchdogSalvage, Tick,
-                               InvalidTid, StreamKind::Meta, StalledMs,
-                               "salvaging shutdown"});
-        }
-      }
-    });
-  }
-
   {
     std::lock_guard<std::mutex> L(ThreadsMu);
     OsThreads.emplace_back([this, Fn = std::move(MainFn),
@@ -557,27 +465,7 @@ RunReport Session::run(std::function<void()> MainFn) {
     });
   }
 
-  bool Done = Sched->waitAllFinished(Config.WatchdogTimeoutMs);
-  if (!Done) {
-    if (Config.ExecMode == Mode::Replay &&
-        Sched->desyncKind() != DesyncKind::Hard) {
-      // A schedule constraint that can never be satisfied manifests as a
-      // stall: classify it as hard desync and free-run to completion.
-      DesyncReport WD = syscallDesyncReport(DesyncReason::WatchdogStall,
-                                            InvalidTid);
-      WD.Stream = StreamKind::Queue;
-      WD.Actual = formatString(
-          "watchdog: replay made no progress for %llu ms; a recorded "
-          "schedule constraint cannot be satisfied",
-          static_cast<unsigned long long>(Config.WatchdogTimeoutMs));
-      Sched->declareDesync(std::move(WD));
-      Done = Sched->waitAllFinished(Config.WatchdogTimeoutMs);
-    }
-    if (!Done && !Sched->stallSalvaged())
-      fatal("session hung (no progress for %llu ms)\n%s",
-            static_cast<unsigned long long>(Config.WatchdogTimeoutMs),
-            Sched->dumpState().c_str());
-  }
+  superviseRun();
 
   const bool DeadlockSalvaged = Sched->deadlocked();
   const bool StallSalvaged = Sched->stallSalvaged();
@@ -587,8 +475,6 @@ RunReport Session::run(std::function<void()> MainFn) {
          "proceeding with teardown",
          DeadlockSalvaged ? "deadlocked" : "stalled");
 
-  stopLiveness();
-  stopWatchdog();
   {
     std::lock_guard<std::mutex> L(ThreadsMu);
     for (std::thread &T : OsThreads)
@@ -903,24 +789,87 @@ void Session::pumpTelemetry(uint64_t Tick, bool Final) {
   Telemetry->emitFrame(Tick, Counters, Final);
 }
 
-void Session::stopLiveness() {
-  {
-    std::lock_guard<std::mutex> L(LivenessMu);
-    StopLivenessFlag = true;
-  }
-  LivenessCv.notify_all();
-  if (LivenessThread.joinable())
-    LivenessThread.join();
-}
+void Session::superviseRun() {
+  // The liveness poll and the watchdog ladder each keep their own
+  // deadline, so a thread exit waking the wait early postpones neither.
+  using Clock = std::chrono::steady_clock;
+  const auto Millis = [](uint32_t Ms) { return std::chrono::milliseconds(Ms); };
+  Clock::time_point NextLiveness =
+      Config.LivenessIntervalMs
+          ? Clock::now() + Millis(Config.LivenessIntervalMs)
+          : Clock::time_point::max();
+  Clock::time_point NextWatchdog =
+      Clock::now() + Millis(Config.Watchdog.PollMs);
 
-void Session::stopWatchdog() {
-  {
-    std::lock_guard<std::mutex> L(WatchdogMu);
-    StopWatchdogFlag = true;
+  // The ladder escalates warn -> nudge -> salvage while the tick frontier
+  // stays frozen. Each rung fires at its wall-clock deadline, or earlier
+  // when the virtual makespan grows by StallVirtualNs x {1,2,4} with no
+  // tick (a run burning virtual time in invisible code). A mid-run trace
+  // snapshot is forbidden (TraceRecorder requires the emitting threads
+  // joined), so the warn rung emits the scheduler state dump; the final
+  // report still carries the trace excerpt around the salvage tick.
+  uint64_t LastTick = ~0ull;
+  VTime VirtualBase = 0;
+  Clock::time_point LastChange = Clock::now();
+  unsigned Rung = 0;
+  while (!Sched->waitAllFinished(std::min(NextLiveness, NextWatchdog))) {
+    const Clock::time_point Now = Clock::now();
+    if (Now >= NextLiveness) {
+      Sched->livenessPoll();
+      NextLiveness = Now + Millis(Config.LivenessIntervalMs);
+    }
+    if (Now < NextWatchdog)
+      continue;
+    NextWatchdog = Now + Millis(Config.Watchdog.PollMs);
+    const uint64_t Tick = Sched->currentTick();
+    if (Tick != LastTick) {
+      LastTick = Tick;
+      LastChange = Now;
+      VirtualBase = Cost->makespan();
+      Rung = 0;
+      continue;
+    }
+    const uint64_t StalledMs = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(Now - LastChange)
+            .count());
+    const VTime VirtualGrowth = Cost->makespan() - VirtualBase;
+    const auto Due = [&](uint64_t WallMs, unsigned Mult) {
+      if (StalledMs >= WallMs)
+        return true;
+      return Config.Watchdog.StallVirtualNs != 0 &&
+             VirtualGrowth >= Config.Watchdog.StallVirtualNs * Mult;
+    };
+    if (Rung == 0 && Due(Config.Watchdog.WarnAfterMs, 1)) {
+      Rung = 1;
+      const SchedulerStats S = Sched->statsSnapshot();
+      warn("watchdog: tick frontier frozen at %llu for %llu ms "
+           "(%llu ticks total, %llu reschedules)\n%s",
+           static_cast<unsigned long long>(Tick),
+           static_cast<unsigned long long>(StalledMs),
+           static_cast<unsigned long long>(S.Ticks),
+           static_cast<unsigned long long>(S.Reschedules),
+           Sched->dumpState().c_str());
+      Recoveries.record({RecoveryActionKind::WatchdogWarn, Tick, InvalidTid,
+                         StreamKind::Meta, StalledMs, "tick frontier frozen"});
+    }
+    if (Rung == 1 && Due(Config.Watchdog.NudgeAfterMs, 2)) {
+      Rung = 2;
+      if (Sched->watchdogNudge())
+        Recoveries.record({RecoveryActionKind::WatchdogNudge, Tick,
+                           InvalidTid, StreamKind::Meta, StalledMs,
+                           "forced strategy decision / broadcast wake"});
+    }
+    if (Rung == 2 && Due(Config.Watchdog.SalvageAfterMs, 4)) {
+      Rung = 3;
+      const std::string Why = formatString(
+          "watchdog: no tick for %llu ms despite warn and nudge",
+          static_cast<unsigned long long>(StalledMs));
+      if (Sched->salvageStall(Why))
+        Recoveries.record({RecoveryActionKind::WatchdogSalvage, Tick,
+                           InvalidTid, StreamKind::Meta, StalledMs,
+                           "salvaging shutdown"});
+    }
   }
-  WatchdogCv.notify_all();
-  if (WatchdogThread.joinable())
-    WatchdogThread.join();
 }
 
 void Session::noteRecoveryAction(RecoveryActionKind Kind, Tid Thread,

@@ -98,24 +98,20 @@ struct RecordFlushPolicy {
   AsyncDemoBackend *Backend = nullptr;
 };
 
-/// Tick-watchdog supervision: a dedicated supervisor thread polls the
-/// scheduler's tick frontier and escalates through three rungs when it
-/// stops advancing — warn (diagnostics), nudge (forced strategy decision
-/// or broadcast wake), salvage (consistent shutdown that leaves a
-/// replayable demo, extending the deadlock salvage to non-deadlock
-/// hangs). Every rung lands on the recovery timeline.
+/// Tick-watchdog supervision, always armed: the thread blocked in
+/// Session::run polls the scheduler's tick frontier and escalates through
+/// three rungs when it stops advancing — warn (diagnostics), nudge
+/// (forced strategy decision or broadcast wake), salvage (consistent
+/// shutdown that leaves a replayable demo, extending the deadlock salvage
+/// to non-deadlock hangs). Every rung lands on the recovery timeline.
 struct WatchdogPolicy {
-  /// Off by default: the legacy single-deadline watchdog in run()
-  /// (SessionConfig::WatchdogTimeoutMs) remains the last resort.
-  bool Enabled = false;
-
-  /// Supervisor poll period.
+  /// Poll period.
   uint32_t PollMs = 50;
 
   /// Wall-clock ms of frozen tick frontier before each rung fires.
-  uint32_t WarnAfterMs = 2000;
-  uint32_t NudgeAfterMs = 4000;
-  uint32_t SalvageAfterMs = 8000;
+  uint32_t WarnAfterMs = 5000;
+  uint32_t NudgeAfterMs = 10000;
+  uint32_t SalvageAfterMs = 20000;
 
   /// Virtual-time stall criterion (0 disables): a rung also fires when
   /// the virtual makespan grows by this many ns x {1,2,4} while the tick
@@ -185,12 +181,6 @@ struct SessionConfig {
   /// plain tsan11 (§2).
   bool Controlled = true;
 
-  /// How the scheduler wakes parked threads (sched/Scheduler.h). Targeted
-  /// per-thread parking is the default; Broadcast restores the legacy
-  /// global notify_all and exists as a measurable baseline
-  /// (bench/sched_throughput). Schedule semantics are identical.
-  WakePolicy Wake = WakePolicy::Targeted;
-
   /// How a tick is committed (sched/Scheduler.h). Pipelined — the
   /// ticket/epoch fast path that commits common-case ticks with a handful
   /// of atomics and falls back to the mutex for pending work — is the
@@ -240,11 +230,6 @@ struct SessionConfig {
   /// thread makes no progress for this long. Zero disables.
   uint32_t LivenessIntervalMs = 25;
 
-  /// Watchdog: abort if no thread finishes and no tick happens for this
-  /// long (a genuinely hung program or an unrecoverable replay
-  /// divergence).
-  uint64_t WatchdogTimeoutMs = 20000;
-
   /// Abort the process on hard desync instead of free-running.
   bool AbortOnHardDesync = false;
 
@@ -266,7 +251,9 @@ struct SessionConfig {
   /// results from the live environment. Applies to replay only.
   RecoveryPolicy Recovery;
 
-  /// Tick-watchdog supervision (all modes).
+  /// Tick-watchdog thresholds (all modes). A run whose tick frontier stays
+  /// frozen — a genuinely hung program or an unrecoverable replay
+  /// divergence — ends in a salvage.
   WatchdogPolicy Watchdog;
 
   /// Deterministic retry/backoff for transient virtual errors.
@@ -333,7 +320,7 @@ struct RunReport {
   bool StallSalvaged = false;
 
   /// What adaptive recovery and the watchdog did (empty under
-  /// RecoveryMode::Strict with the watchdog and retry off).
+  /// RecoveryMode::Strict with retry off and no watchdog rung fired).
   RecoveryOutcome Recovered;
 
   /// Seeds actually used (match META).
@@ -633,17 +620,10 @@ private:
   std::vector<uint32_t> SyscallDivergenceStreak;
   std::vector<uint8_t> SyscallThreadFreeRun;
 
-  std::thread LivenessThread;
-  std::mutex LivenessMu;
-  std::condition_variable LivenessCv;
-  bool StopLivenessFlag = false;
-  void stopLiveness();
-
-  std::thread WatchdogThread;
-  std::mutex WatchdogMu;
-  std::condition_variable WatchdogCv;
-  bool StopWatchdogFlag = false;
-  void stopWatchdog();
+  /// Blocks run()'s thread until the run ends, meanwhile driving the
+  /// liveness poll (§3.3) every LivenessIntervalMs and the watchdog ladder
+  /// every Watchdog.PollMs — the session needs no helper threads.
+  void superviseRun();
 
   bool HasRun = false;
   uint64_t UsedSeed0 = 0;

@@ -68,8 +68,8 @@ Scheduler::Scheduler(const SchedulerOptions &Opts, Demo *RecordDemo,
                      const Demo *ReplayDemo)
     : Opts(Opts), Strat(makeStrategy(Opts.Strategy, Opts.Params)),
       Rng(Opts.Seed0, Opts.Seed1), Trace(Opts.Trace), Prof(Opts.Profile) {
-  PipelineEnabled = Opts.TickCommit == TickCommitMode::Pipelined &&
-                    Opts.Controlled && Opts.Wake == WakePolicy::Targeted;
+  PipelineEnabled =
+      Opts.TickCommit == TickCommitMode::Pipelined && Opts.Controlled;
   if (!Opts.Controlled)
     FreeRunFcfs = true;
   if (Opts.ExecMode == Mode::Record) {
@@ -275,39 +275,23 @@ void Scheduler::wait(Tid Self) {
     return true;
   };
   bool Blocked = false;
-  if (Opts.Wake == WakePolicy::Targeted) {
-    // The slot outlives any Threads reallocation (threadNew runs while
-    // we block); the ThreadState reference would not, so the loop
-    // re-indexes Threads[Self] instead of caching it.
-    ParkSlot &Slot = *Threads[Self].Slot;
-    while (!Granted()) {
-      if (TSR_UNLIKELY(Trace != nullptr) && !Blocked) {
-        Blocked = true;
-        Trace->emit(Self, TraceEventKind::Park,
-                    CurTick.load(std::memory_order_relaxed));
-      }
-      Slot.Cv.wait(L, [&Slot] { return Slot.Notified; });
-      Slot.Notified = false;
-      if (TSR_UNLIKELY(RetireRequested) && maybeRetireLocked(Self, L))
-        return;
-      grantIfAnyLocked(Self);
-      if (!Granted())
-        ++Stats.SpuriousWakeups;
+  // The slot outlives any Threads reallocation (threadNew runs while we
+  // block); the ThreadState reference would not, so the loop re-indexes
+  // Threads[Self] instead of caching it.
+  ParkSlot &Slot = *Threads[Self].Slot;
+  while (!Granted()) {
+    if (TSR_UNLIKELY(Trace != nullptr) && !Blocked) {
+      Blocked = true;
+      Trace->emit(Self, TraceEventKind::Park,
+                  CurTick.load(std::memory_order_relaxed));
     }
-  } else {
-    while (!Granted()) {
-      if (TSR_UNLIKELY(Trace != nullptr) && !Blocked) {
-        Blocked = true;
-        Trace->emit(Self, TraceEventKind::Park,
-                    CurTick.load(std::memory_order_relaxed));
-      }
-      Cv.wait(L);
-      if (TSR_UNLIKELY(RetireRequested) && maybeRetireLocked(Self, L))
-        return;
-      grantIfAnyLocked(Self);
-      if (!Granted())
-        ++Stats.SpuriousWakeups;
-    }
+    Slot.Cv.wait(L, [&Slot] { return Slot.Notified; });
+    Slot.Notified = false;
+    if (TSR_UNLIKELY(RetireRequested) && maybeRetireLocked(Self, L))
+      return;
+    grantIfAnyLocked(Self);
+    if (!Granted())
+      ++Stats.SpuriousWakeups;
   }
   if (TSR_UNLIKELY(Trace != nullptr) && Blocked)
     Trace->emit(Self, TraceEventKind::Wake,
@@ -719,11 +703,6 @@ void Scheduler::slowTick(Tid Self) {
 }
 
 void Scheduler::wakeForDesignationLocked() {
-  if (Opts.Wake == WakePolicy::Broadcast) {
-    ++Stats.BroadcastWakeups;
-    Cv.notify_all();
-    return;
-  }
   if (Active == InvalidTid)
     return; // Nobody can proceed; deadlockCheckLocked handles the rest.
   if (Active == AnyTid) {
@@ -779,10 +758,6 @@ void Scheduler::wakeAllParkedLocked() {
   // thread must reconsider its predicate (post-desync free-run lets any
   // of them proceed as they arrive). These sites are off the hot path.
   ++Stats.BroadcastWakeups;
-  if (Opts.Wake == WakePolicy::Broadcast) {
-    Cv.notify_all();
-    return;
-  }
   for (ThreadState &TS : Threads) {
     if (TS.Finished || !TS.Parked || TS.Slot->Notified)
       continue;
@@ -1494,10 +1469,6 @@ void Scheduler::threadDelete(Tid Self) {
   // inside Self's critical section, and the tick() that follows it
   // designates a successor and issues the wake. Only the host's
   // waitAllFinished needs the completion signal here.
-  if (Opts.Wake == WakePolicy::Broadcast) {
-    ++Stats.BroadcastWakeups;
-    Cv.notify_all();
-  }
   DoneCv.notify_all();
 }
 
@@ -1543,10 +1514,6 @@ void Scheduler::mutexUnlock(Tid Self, uint64_t MutexId) {
                     ProfileWaitKind::Mutex, MutexId);
   // The woken waiter is enabled, not designated: the unlocker still owns
   // the critical section, and its tick() hands the processor over.
-  if (Opts.Wake == WakePolicy::Broadcast) {
-    ++Stats.BroadcastWakeups;
-    Cv.notify_all();
-  }
 }
 
 void Scheduler::condWait(Tid Self, uint64_t CondId, bool Timed) {
@@ -1589,10 +1556,6 @@ unsigned Scheduler::condSignal(Tid Self, uint64_t CondId) {
                       ProfileWaitKind::Cond, CondId);
   }
   // Enabled, not designated: the signaller's tick() issues the wake.
-  if (Opts.Wake == WakePolicy::Broadcast) {
-    ++Stats.BroadcastWakeups;
-    Cv.notify_all();
-  }
   return 1;
 }
 
@@ -1619,10 +1582,6 @@ unsigned Scheduler::condBroadcast(Tid Self, uint64_t CondId) {
     ++Woken;
   }
   // Enabled, not designated: the broadcaster's tick() issues the wake.
-  if (Woken && Opts.Wake == WakePolicy::Broadcast) {
-    ++Stats.BroadcastWakeups;
-    Cv.notify_all();
-  }
   return Woken;
 }
 
@@ -1661,10 +1620,7 @@ void Scheduler::postSignal(Tid Target, Signo S) {
     // wakeup so replay reproduces the same enabled set (§4.5).
     recordAsyncLocked(AsyncEventKind::SignalWakeup, Target);
     enableForWakeupLocked(Target);
-    if (Opts.Wake == WakePolicy::Broadcast) {
-      ++Stats.BroadcastWakeups;
-      Cv.notify_all();
-    } else if (Active == AnyTid) {
+    if (Active == AnyTid) {
       // postSignal may arrive from a host thread with no tick to follow.
       // Under a first-come-first-served grant the newly enabled target
       // (or any other parked arrival) may proceed right now.
@@ -1780,23 +1736,12 @@ void Scheduler::livenessPoll() {
   wakeForDesignationLocked();
 }
 
-bool Scheduler::waitAllFinished(uint64_t TimeoutMs) {
-  // Progress is measured through CurTick, not Stats.Ticks: fast commits
-  // advance the counter without Mu, and this waiter must not hold the
-  // commit gate across a condvar sleep.
+bool Scheduler::waitAllFinished(
+    std::chrono::steady_clock::time_point Deadline) {
   std::unique_lock<std::mutex> L(Mu);
-  uint64_t LastTick = CurTick.load(std::memory_order_relaxed);
-  while (!allFinishedLocked() && !Deadlocked && !StallSalvaged) {
-    const auto Status =
-        DoneCv.wait_for(L, std::chrono::milliseconds(TimeoutMs));
-    if (Status == std::cv_status::timeout) {
-      const uint64_t Now = CurTick.load(std::memory_order_relaxed);
-      if (Now == LastTick)
-        return false; // No progress for a full timeout window.
-      LastTick = Now;
-    }
-  }
-  return true;
+  return DoneCv.wait_until(L, Deadline, [this] {
+    return allFinishedLocked() || Deadlocked || StallSalvaged;
+  });
 }
 
 void Scheduler::declareDesync(DesyncReport Report) {

@@ -36,6 +36,7 @@
 #include "support/Rle.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -66,21 +67,6 @@ class Profiler;
 /// during the unwind still work: wait() hands the retiring thread a
 /// serialised degenerate grant instead of throwing again.
 struct ControlledThreadRetire {};
-
-/// How the scheduler wakes parked threads when the designation changes.
-enum class WakePolicy : uint8_t {
-  /// Each thread parks on its own slot; a designation hands the processor
-  /// over with one notify_one to the thread that can actually proceed.
-  /// Broadcast survives only at genuine fan-out sites (deadlock salvage,
-  /// hard desync). Clean controlled runs wake zero threads spuriously.
-  Targeted,
-
-  /// Legacy behaviour: every wake site does notify_all on one global
-  /// condition variable, waking all parked threads so that all-but-one
-  /// immediately re-block. Kept as the measurable baseline for
-  /// bench/sched_throughput.
-  Broadcast,
-};
 
 /// How a visible operation's tick is committed (DESIGN.md §14).
 enum class TickCommitMode : uint8_t {
@@ -176,16 +162,10 @@ struct SchedulerOptions {
   /// waker, all under the scheduler lock (support/Profile.h).
   Profiler *Profile = nullptr;
 
-  /// Wakeup discipline for the wait()/tick() hot path. Schedule semantics
-  /// are identical under both policies (same designations, same traces);
-  /// only the handoff cost differs.
-  WakePolicy Wake = WakePolicy::Targeted;
-
   /// Tick-commit discipline (see TickCommitMode). The pipeline engages
-  /// only for controlled runs under targeted parking (broadcast parking
-  /// has no per-thread wake point for the lock-free handoff to target);
-  /// other configurations silently use the mutex path. Schedule semantics
-  /// and recorded bytes are identical under both modes.
+  /// only for controlled runs; uncontrolled runs silently use the mutex
+  /// path. Schedule semantics and recorded bytes are identical under both
+  /// modes.
   TickCommitMode TickCommit = TickCommitMode::Pipelined;
 
   /// Replay divergence tolerance (support/Recovery.h). Strict preserves
@@ -223,17 +203,17 @@ struct SchedulerStats {
   /// Incremental flushes performed by the live demo writer.
   uint64_t DemoFlushes = 0;
 
-  /// Targeted notify_one handoffs issued (WakePolicy::Targeted).
+  /// Targeted notify_one handoffs issued.
   uint64_t TargetedWakeups = 0;
 
   /// Parked threads that woke without being able to proceed and had to
-  /// re-block. Zero in clean controlled runs under WakePolicy::Targeted
-  /// (the per-slot token also absorbs OS-level spurious condvar wakeups);
-  /// nonzero only in free-run FCFS races and desync/deadlock fan-outs.
+  /// re-block. Zero in clean controlled runs (the per-slot token also
+  /// absorbs OS-level spurious condvar wakeups); nonzero only in free-run
+  /// FCFS races and desync/deadlock fan-outs.
   uint64_t SpuriousWakeups = 0;
 
-  /// Broadcast fan-outs issued (every wake under WakePolicy::Broadcast;
-  /// only deadlock salvage and hard desync under Targeted).
+  /// Fan-outs to every parked thread (deadlock salvage, hard desync,
+  /// watchdog nudge, straggler retire).
   uint64_t BroadcastWakeups = 0;
 
   /// QUEUE entries skipped by the recovery forward search (the skew
@@ -344,16 +324,16 @@ public:
   /// PRNG; reproduced on replay by the seeds alone (§4).
   uint64_t drawChoice(uint64_t Bound);
 
-  /// Called periodically by the session's background thread: if the
+  /// Called periodically by the thread supervising the run: if the
   /// designated thread has made no progress while others are parked,
   /// forces a reschedule (§3.3) and logs it as an ASYNC event.
   void livenessPoll();
 
-  /// Blocks until every registered thread has finished, or returns false
-  /// after \p TimeoutMs with no progress (watchdog expired). Also returns
-  /// (true) when the run deadlocked under the salvaging shutdown — check
-  /// deadlocked().
-  bool waitAllFinished(uint64_t TimeoutMs);
+  /// Blocks until every registered thread has finished, or the run ended
+  /// in a salvaging shutdown (check deadlocked() and stallSalvaged()), and
+  /// returns true; returns false once \p Deadline passes first, so the
+  /// caller can run its periodic supervision and wait again.
+  bool waitAllFinished(std::chrono::steady_clock::time_point Deadline);
 
   /// True when the run ended in a salvaged deadlock: every live thread is
   /// disabled and parked forever; the session must detach (not join) its
@@ -458,13 +438,13 @@ public:
   Tid threadCount() const override;
 
 private:
-  /// A thread's private parking place (WakePolicy::Targeted). Heap-
-  /// allocated behind a unique_ptr because Threads reallocates on
-  /// threadNew while other threads are blocked on their slots — the
-  /// condition variable's address must survive the move. Notified is the
-  /// wake token (guarded by Mu): the waiter sleeps until it is set, which
-  /// absorbs OS-level spurious condvar wakeups, making SpuriousWakeups a
-  /// faithful count of protocol-level misdirected wakes.
+  /// A thread's private parking place. Heap-allocated behind a
+  /// unique_ptr because Threads reallocates on threadNew while other
+  /// threads are blocked on their slots — the condition variable's
+  /// address must survive the move. Notified is the wake token (guarded
+  /// by Mu): the waiter sleeps until it is set, which absorbs OS-level
+  /// spurious condvar wakeups, making SpuriousWakeups a faithful count of
+  /// protocol-level misdirected wakes.
   struct ParkSlot {
     std::condition_variable Cv;
     bool Notified = false;
@@ -628,13 +608,9 @@ private:
 
   std::mutex Mu;
 
-  /// Global condition variable: the parking place under
-  /// WakePolicy::Broadcast only. Targeted parking never touches it —
-  /// threads block on their own ParkSlot instead.
-  std::condition_variable Cv;
-
   /// Wakes waitAllFinished. Notified only on thread completion and the
-  /// deadlock latch, so the host waiter stays off the per-tick hot path.
+  /// deadlock / stall-salvage latches, so the thread supervising the run
+  /// stays off the per-tick hot path.
   std::condition_variable DoneCv;
 
   std::vector<ThreadState> Threads;
@@ -730,8 +706,8 @@ private:
   /// counter load — one side always observes the other.
   std::atomic<uint32_t> ParkedCount{0};
 
-  /// TickCommit == Pipelined actually engaged (controlled + targeted
-  /// parking); immutable after construction.
+  /// TickCommit == Pipelined actually engaged (controlled runs only);
+  /// immutable after construction.
   bool PipelineEnabled = false;
 
   /// When true, designation is first-come-first-served (uncontrolled

@@ -64,26 +64,13 @@ uint64_t unpackU64(const uint8_t *P) {
          static_cast<uint64_t>(unpackU32(P + 4)) << 32;
 }
 
-/// v2 on-disk per-stream header (little-endian):
-///   [0..3]   magic "TSRS"
-///   [4]      demo format version
-///   [5]      stream kind
-///   [6..7]   reserved (zero)
-///   [8..11]  payload length
-///   [12..15] CRC-32 of the payload
-/// v3 keeps the same 16-byte shape but zeroes bytes [8..15] (integrity
-/// lives in the chunk frames); the zeroes are validated on load so a bit
-/// flip anywhere in the header is still caught.
-void packStreamHeader(uint8_t Out[Demo::StreamHeaderSize], uint32_t Version,
-                      StreamKind Kind, const std::vector<uint8_t> &Payload) {
+/// Per-stream header (layout at Demo::StreamHeaderSize). The zero bytes
+/// are validated on load so a bit flip anywhere in the header is caught.
+void packStreamHeader(uint8_t Out[Demo::StreamHeaderSize], StreamKind Kind) {
   std::memcpy(Out, Demo::StreamMagic, 4);
-  Out[4] = static_cast<uint8_t>(Version);
+  Out[4] = static_cast<uint8_t>(Demo::FormatVersion);
   Out[5] = static_cast<uint8_t>(Kind);
   std::memset(Out + 6, 0, Demo::StreamHeaderSize - 6);
-  if (Version == Demo::LegacyFormatVersion) {
-    packU32(Out + 8, static_cast<uint32_t>(Payload.size()));
-    packU32(Out + 12, crc32(Payload));
-  }
 }
 
 void packChunkHeader(uint8_t Out[Demo::ChunkHeaderSize], const uint8_t *Data,
@@ -102,13 +89,12 @@ struct ChunkRef {
   size_t End = 0;
 };
 
-/// Result of parsing one stream file (either format version).
+/// Result of parsing one stream file.
 struct StreamScan {
   bool Missing = false;
-  uint32_t Version = 0;
   std::vector<uint8_t> Payload;  ///< Concatenated data-chunk payloads.
-  std::vector<ChunkRef> Chunks;  ///< v3 data chunks (closing chunk excluded).
-  bool Closed = false;           ///< v2: always when intact; v3: sentinel seen.
+  std::vector<ChunkRef> Chunks;  ///< Data chunks (closing chunk excluded).
+  bool Closed = false;           ///< The closing sentinel chunk was seen.
   size_t IntactBytes = 0;        ///< File prefix that parsed clean.
   size_t FileSize = 0;
   std::string TailError;         ///< Salvage mode: why parsing stopped early.
@@ -157,12 +143,10 @@ bool readWholeFile(const std::string &Path, StreamKind Kind,
   return true;
 }
 
-/// Parses one stream file of either format version. With \p AllowTornTail
-/// (salvage mode) damage after the header stops the scan and is described
-/// in S.TailError instead of failing; header-level damage (bad magic,
-/// unknown version, wrong kind byte) is always an error, as is any
-/// corruption in a v2 file — v2 has a single whole-payload CRC and no
-/// salvageable sub-structure.
+/// Parses one stream file. With \p AllowTornTail (salvage mode) damage
+/// after the header stops the scan and is described in S.TailError instead
+/// of failing; header-level damage (bad magic, unknown version, wrong kind
+/// byte) is always an error.
 bool scanStreamFile(const std::string &Path, StreamKind Kind,
                     bool AllowTornTail, StreamScan &S, std::string &Error) {
   S = StreamScan();
@@ -187,14 +171,11 @@ bool scanStreamFile(const std::string &Path, StreamKind Kind,
         Path.c_str(), Name);
     return false;
   }
-  S.Version = H[4];
-  if (S.Version != Demo::FormatVersion &&
-      S.Version != Demo::LegacyFormatVersion) {
+  if (H[4] != Demo::FormatVersion) {
     Error = formatString(
-        "%s: %s stream is demo format version %u, this build reads "
-        "versions %u and %u",
-        Path.c_str(), Name, H[4], Demo::LegacyFormatVersion,
-        Demo::FormatVersion);
+        "%s: %s stream is demo format version %u, this build reads only "
+        "version %u",
+        Path.c_str(), Name, H[4], Demo::FormatVersion);
     return false;
   }
   if (H[5] != static_cast<uint8_t>(Kind)) {
@@ -209,46 +190,12 @@ bool scanStreamFile(const std::string &Path, StreamKind Kind,
         Name);
     return false;
   }
-  if (H[6] || H[7]) {
-    Error = formatString(
-        "%s: %s stream reserved header bytes [6..7] are nonzero — "
-        "corrupted header",
-        Path.c_str(), Name);
-    return false;
-  }
-
-  if (S.Version == Demo::LegacyFormatVersion) {
-    const uint32_t Len = unpackU32(H + 8);
-    const uint32_t WantCrc = unpackU32(H + 12);
-    const size_t Avail = Bytes.size() - Demo::StreamHeaderSize;
-    if (Avail != Len) {
-      Error = formatString(
-          "%s: %s stream %s: header promises %u payload bytes at offset "
-          "%zu, file holds %zu",
-          Path.c_str(), Name, Avail < Len ? "truncated" : "has trailing bytes",
-          Len, Demo::StreamHeaderSize, Avail);
-      return false;
-    }
-    S.Payload.assign(Bytes.begin() + Demo::StreamHeaderSize, Bytes.end());
-    const uint32_t GotCrc = crc32(S.Payload);
-    if (GotCrc != WantCrc) {
-      Error = formatString(
-          "%s: %s stream CRC mismatch: header says 0x%08x, payload hashes "
-          "to 0x%08x — corrupted at or after offset %zu",
-          Path.c_str(), Name, WantCrc, GotCrc, Demo::StreamHeaderSize);
-      return false;
-    }
-    S.Closed = true;
-    S.IntactBytes = Bytes.size();
-    return true;
-  }
-
-  // v3: bytes [8..15] must be zero; per-chunk CRCs carry the integrity.
-  for (size_t I = 8; I != Demo::StreamHeaderSize; ++I) {
+  // Bytes [6..15] must be zero; per-chunk CRCs carry the integrity.
+  for (size_t I = 6; I != Demo::StreamHeaderSize; ++I) {
     if (H[I]) {
       Error = formatString(
-          "%s: %s stream header byte at offset %zu is nonzero (v3 zeroes "
-          "the legacy length/CRC fields) — corrupted header",
+          "%s: %s stream header byte at offset %zu is nonzero — corrupted "
+          "header",
           Path.c_str(), Name, I);
       return false;
     }
@@ -311,28 +258,6 @@ bool scanStreamFile(const std::string &Path, StreamKind Kind,
   return true;
 }
 
-bool writeStreamFileV2(const std::string &Path, StreamKind Kind,
-                       const std::vector<uint8_t> &Payload,
-                       std::string &Error) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    Error = formatString("%s: cannot create %s stream file: %s", Path.c_str(),
-                         streamName(Kind), std::strerror(errno));
-    return false;
-  }
-  uint8_t Header[Demo::StreamHeaderSize];
-  packStreamHeader(Header, Demo::LegacyFormatVersion, Kind, Payload);
-  bool Ok = std::fwrite(Header, 1, sizeof(Header), F) == sizeof(Header);
-  if (Ok && !Payload.empty())
-    Ok = std::fwrite(Payload.data(), 1, Payload.size(), F) == Payload.size();
-  if (std::fclose(F) != 0)
-    Ok = false;
-  if (!Ok)
-    Error = formatString("%s: %s stream short write", Path.c_str(),
-                         streamName(Kind));
-  return Ok;
-}
-
 bool writeChunk(std::FILE *F, const uint8_t *Data, size_t Size,
                 uint64_t Frontier) {
   uint8_t Header[Demo::ChunkHeaderSize];
@@ -342,14 +267,14 @@ bool writeChunk(std::FILE *F, const uint8_t *Data, size_t Size,
   return Size == 0 || std::fwrite(Data, 1, Size, F) == Size;
 }
 
-/// Writes one v3 stream file: header, the given data chunks, and — unless
+/// Writes one stream file: header, the given data chunks, and — unless
 /// the stream is an (intentionally unclosed) truncated prefix — the
 /// closing sentinel chunk.
-bool writeStreamFileV3(const std::string &Path, StreamKind Kind,
-                       const std::vector<std::pair<const uint8_t *, size_t>>
-                           &DataChunks,
-                       const std::vector<uint64_t> &Frontiers, bool Close,
-                       std::string &Error) {
+bool writeStreamFile(const std::string &Path, StreamKind Kind,
+                     const std::vector<std::pair<const uint8_t *, size_t>>
+                         &DataChunks,
+                     const std::vector<uint64_t> &Frontiers, bool Close,
+                     std::string &Error) {
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   if (!F) {
     Error = formatString("%s: cannot create %s stream file: %s", Path.c_str(),
@@ -357,8 +282,7 @@ bool writeStreamFileV3(const std::string &Path, StreamKind Kind,
     return false;
   }
   uint8_t Header[Demo::StreamHeaderSize];
-  static const std::vector<uint8_t> NoPayload;
-  packStreamHeader(Header, Demo::FormatVersion, Kind, NoPayload);
+  packStreamHeader(Header, Kind);
   bool Ok = std::fwrite(Header, 1, sizeof(Header), F) == sizeof(Header);
   for (size_t I = 0; Ok && I != DataChunks.size(); ++I)
     Ok = writeChunk(F, DataChunks[I].first, DataChunks[I].second,
@@ -377,14 +301,7 @@ bool isDataStream(StreamKind Kind) { return Kind != StreamKind::Meta; }
 
 } // namespace
 
-bool Demo::saveToDirectory(const std::string &Path, std::string &Error,
-                           uint32_t Version) const {
-  if (Version != FormatVersion && Version != LegacyFormatVersion) {
-    Error = formatString(
-        "%s: cannot save demo format version %u (this build writes %u or %u)",
-        Path.c_str(), Version, LegacyFormatVersion, FormatVersion);
-    return false;
-  }
+bool Demo::saveToDirectory(const std::string &Path, std::string &Error) const {
   std::error_code EC;
   std::filesystem::create_directories(Path, EC);
   if (EC) {
@@ -394,14 +311,9 @@ bool Demo::saveToDirectory(const std::string &Path, std::string &Error,
   for (unsigned I = 0; I != NumStreamKinds; ++I) {
     const StreamKind Kind = static_cast<StreamKind>(I);
     const std::string File = Path + "/" + streamName(Kind);
-    if (Version == LegacyFormatVersion) {
-      if (!writeStreamFileV2(File, Kind, Streams[I], Error))
-        return false;
-      continue;
-    }
-    // v3: one data chunk carrying the whole in-memory stream. A truncated
-    // demo writes its data chunks at frontier() and omits the closing
-    // chunk on data streams, so the truncation marker round-trips.
+    // One data chunk carrying the whole in-memory stream. A truncated demo
+    // writes its data chunks at frontier() and omits the closing chunk on
+    // data streams, so the truncation marker round-trips.
     std::vector<std::pair<const uint8_t *, size_t>> Chunks;
     std::vector<uint64_t> Frontiers;
     const bool KeepOpen = Truncated && isDataStream(Kind);
@@ -409,7 +321,7 @@ bool Demo::saveToDirectory(const std::string &Path, std::string &Error,
       Chunks.emplace_back(Streams[I].data(), Streams[I].size());
       Frontiers.push_back(Truncated ? Frontier : 0);
     }
-    if (!writeStreamFileV3(File, Kind, Chunks, Frontiers, !KeepOpen, Error))
+    if (!writeStreamFile(File, Kind, Chunks, Frontiers, !KeepOpen, Error))
       return false;
   }
   return true;
@@ -456,7 +368,7 @@ bool Demo::loadFromDirectory(const std::string &Path, std::string &Error,
     return false;
   }
 
-  // Unclosed v3 data streams mean the recording was interrupted between
+  // Unclosed data streams mean the recording was interrupted between
   // flushes: cross-trim every data stream to the smallest last frontier F
   // so the in-memory prefix is mutually consistent, and mark the demo
   // truncated at F.
@@ -464,8 +376,7 @@ bool Demo::loadFromDirectory(const std::string &Path, std::string &Error,
   uint64_t F = ClosedFrontier;
   for (unsigned I = 0; I != NumStreamKinds; ++I) {
     const StreamKind Kind = static_cast<StreamKind>(I);
-    if (!isDataStream(Kind) || Scans[I].Missing ||
-        Scans[I].Version != FormatVersion || Scans[I].Closed)
+    if (!isDataStream(Kind) || Scans[I].Missing || Scans[I].Closed)
       continue;
     AnyOpen = true;
     F = std::min(F, Scans[I].lastFrontier());
@@ -477,7 +388,7 @@ bool Demo::loadFromDirectory(const std::string &Path, std::string &Error,
     StreamScan &S = Scans[I];
     if (S.Missing)
       continue;
-    if (!AnyOpen || !isDataStream(Kind) || S.Version != FormatVersion) {
+    if (!AnyOpen || !isDataStream(Kind)) {
       LoadedStreams[I] = std::move(S.Payload);
       continue;
     }
@@ -533,7 +444,6 @@ bool Demo::verifyDirectory(const std::string &Path,
       continue;
     }
     C.Present = true;
-    C.Version = S.Version;
     C.PayloadBytes = S.Payload.size();
     C.Chunks = S.Chunks.size();
     C.Closed = S.Closed;
@@ -556,8 +466,8 @@ bool Demo::salvageDirectory(const std::string &Path, SalvageReport &Out,
   for (unsigned I = 0; I != NumStreamKinds; ++I) {
     const StreamKind Kind = static_cast<StreamKind>(I);
     const std::string File = Path + "/" + streamName(Kind);
-    // Header-level damage and v2 corruption are unsalvageable: fail with
-    // the scanner's diagnostic rather than quietly rewriting the file.
+    // Header-level damage is unsalvageable: fail with the scanner's
+    // diagnostic rather than quietly rewriting the file.
     if (!scanStreamFile(File, Kind, /*AllowTornTail=*/true, Scans[I], Error))
       return false;
     Out.Streams[I].Present = !Scans[I].Missing;
@@ -600,7 +510,7 @@ bool Demo::salvageDirectory(const std::string &Path, SalvageReport &Out,
     if (!isDataStream(Kind))
       continue;
     const StreamScan &S = Scans[I];
-    if (S.Missing || S.Version != FormatVersion || S.Closed)
+    if (S.Missing || S.Closed)
       continue;
     F = std::min(F, S.lastFrontier());
   }
@@ -613,11 +523,6 @@ bool Demo::salvageDirectory(const std::string &Path, SalvageReport &Out,
     const StreamScan &S = Scans[I];
     StreamFix &Fix = Out.Streams[I];
     const std::string File = Path + "/" + streamName(Kind);
-    if (!S.Missing && S.Version == LegacyFormatVersion) {
-      // Intact v2 stream in a (bizarre) mixed directory: leave it alone.
-      Fix.ChunksKept = S.Payload.empty() ? 0 : 1;
-      continue;
-    }
     std::vector<std::pair<const uint8_t *, size_t>> Keep;
     std::vector<uint64_t> Frontiers;
     for (const ChunkRef &C : S.Chunks) {
@@ -639,7 +544,7 @@ bool Demo::salvageDirectory(const std::string &Path, SalvageReport &Out,
     if (AlreadyRight)
       continue;
     const std::string Tmp = File + ".tmp";
-    if (!writeStreamFileV3(Tmp, Kind, Keep, Frontiers, Close, Error))
+    if (!writeStreamFile(Tmp, Kind, Keep, Frontiers, Close, Error))
       return false;
     std::filesystem::rename(Tmp, File, EC);
     if (EC) {

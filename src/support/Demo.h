@@ -26,8 +26,8 @@
 /// (crash, SIGKILL, power loss). Chunking is what makes incremental
 /// flushing crash-consistent: a torn tail write damages at most the last
 /// chunk, and salvageDirectory can cut every stream back to a mutually
-/// consistent frontier. Format v2 (one header + one whole-stream CRC) is
-/// still read for backward compatibility.
+/// consistent frontier. A stream file of any other format version is
+/// rejected with an error naming the stream and the version.
 ///
 /// Corruption — truncation, bit rot, a file from a different tool — is
 /// diagnosed at load time with a message naming the file and stream,
@@ -75,21 +75,21 @@ public:
   ///       incremental crash-consistent flushing and post-crash salvage.
   static constexpr uint32_t FormatVersion = 3;
 
-  /// Newest previous format this build still loads and replays.
-  static constexpr uint32_t LegacyFormatVersion = 2;
-
   /// First bytes of every on-disk stream file: "TSRS".
   static constexpr uint8_t StreamMagic[4] = {'T', 'S', 'R', 'S'};
 
-  /// Size of the fixed on-disk per-stream header. In v3 the v2 header's
-  /// length/CRC fields (bytes [8..15]) are written as zero and validated
-  /// as such — integrity lives in the per-chunk frames instead.
+  /// Size of the fixed on-disk per-stream header (little-endian):
+  ///   [0..3]   magic "TSRS"
+  ///   [4]      demo format version
+  ///   [5]      stream kind
+  ///   [6..15]  zero, validated as such — integrity lives in the
+  ///            per-chunk frames
   static constexpr size_t StreamHeaderSize = 16;
 
-  /// First bytes of every v3 chunk frame: "TSRC".
+  /// First bytes of every chunk frame: "TSRC".
   static constexpr uint8_t ChunkMagic[4] = {'T', 'S', 'R', 'C'};
 
-  /// Size of the fixed v3 chunk frame header (little-endian):
+  /// Size of the fixed chunk frame header (little-endian):
   ///   [0..3]   magic "TSRC"
   ///   [4..7]   payload length
   ///   [8..11]  CRC-32 of the payload
@@ -119,10 +119,9 @@ public:
   struct StreamCheck {
     StreamKind Kind = StreamKind::Meta;
     bool Present = false;      ///< The file exists.
-    uint32_t Version = 0;      ///< On-disk format version (2 or 3).
     size_t PayloadBytes = 0;   ///< Total payload bytes across chunks.
-    size_t Chunks = 0;         ///< v3: number of intact data chunks.
-    bool Closed = false;       ///< Serialised to completion (v2: always).
+    size_t Chunks = 0;         ///< Number of intact data chunks.
+    bool Closed = false;       ///< Serialised to completion.
     uint32_t Crc = 0;          ///< CRC-32 of the concatenated payload.
     std::string Error;         ///< Empty when the file verified clean.
   };
@@ -186,16 +185,13 @@ public:
   size_t streamSize(StreamKind Kind) const { return stream(Kind).size(); }
 
   /// Writes all streams into directory \p Path (created if missing), each
-  /// framed by the integrity header — format \p Version on disk, which
-  /// must be FormatVersion (default) or LegacyFormatVersion (to produce
-  /// demos an older tool can read). A truncated() demo keeps its marker:
-  /// v3 streams are written without closing chunks. Returns false and
-  /// sets \p Error on I/O failure.
-  bool saveToDirectory(const std::string &Path, std::string &Error,
-                       uint32_t Version = FormatVersion) const;
+  /// framed by the integrity header. A truncated() demo keeps its marker:
+  /// its data streams are written without closing chunks. Returns false
+  /// and sets \p Error on I/O failure.
+  bool saveToDirectory(const std::string &Path, std::string &Error) const;
 
   /// Reads all streams from directory \p Path, verifying each file's
-  /// header and (v3) every chunk frame. A directory containing no META
+  /// header and every chunk frame. A directory containing no META
   /// file fails fast — it is not a demo (never recorded, or the wrong
   /// path) and replaying it would only manufacture a confusing
   /// desynchronisation later. Torn or corrupt chunk tails are an error —
@@ -208,7 +204,7 @@ public:
                          LoadMode Mode = LoadMode::Tolerant);
 
   /// Checks every stream file of an on-disk demo: header magic, version,
-  /// kind byte, and every chunk frame's CRCs (v2: the whole-payload CRC).
+  /// kind byte, and every chunk frame's CRCs.
   /// Fills one StreamCheck per stream. Returns true iff the directory is
   /// readable, META is present and no present file is corrupt. An
   /// unclosed-but-intact stream is not corrupt — it is a truncated
@@ -224,11 +220,10 @@ public:
   /// streams) so the surviving prefix replays deterministically. Files
   /// are rewritten atomically (temp file + rename) without closing
   /// chunks, so a later load marks the demo truncated() at F. A fully
-  /// closed demo is left untouched (Out.Clean). v2 demos are monolithic
-  /// (one CRC over the whole stream) and cannot be partially salvaged: a
-  /// clean v2 demo reports Clean, a corrupt one is an error. Returns
-  /// false and sets \p Error when the directory is unreadable, META never
-  /// became durable, or a rewrite fails.
+  /// closed demo is left untouched (Out.Clean). Returns false and sets
+  /// \p Error when the directory is unreadable, a header is damaged or of
+  /// another format version, META never became durable, or a rewrite
+  /// fails.
   static bool salvageDirectory(const std::string &Path, SalvageReport &Out,
                                std::string &Error);
 

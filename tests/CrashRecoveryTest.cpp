@@ -9,7 +9,7 @@
 // to a consistent prefix, and the salvaged demo replays deterministically
 // up to its tick frontier, finishing free-run with a structured
 // TruncatedDemo soft report. Also covers the clean chunked round-trip and
-// loading of legacy v2 demos.
+// the rejection of demos written in another format version.
 //
 // The kill matrix forks real child processes: each child records pbzip
 // with incremental flushing while the parent kills it (or it kills
@@ -256,46 +256,49 @@ TEST(CrashRecovery, ChunkedCleanRunMatchesInMemoryDemo) {
 }
 
 //===----------------------------------------------------------------------===//
-// Legacy v2 demos still load and replay
+// Demos of another format version are rejected by name
 //===----------------------------------------------------------------------===//
 
-TEST(CrashRecovery, LegacyV2DemoLoadsAndReplays) {
+TEST(CrashRecovery, LegacyV2DemoIsRejected) {
   SessionConfig C = fixedSeeds(presets::tsan11rec(
       StrategyKind::Queue, Mode::Record, RecordPolicy::full()));
   Session S(C);
   const pbzip::PbzipConfig PC = workloadConfig();
   S.env().putFile(PC.InputPath, workloadInput(100));
-  RunReport R = S.run([&PC] { pbzip::compressFile(PC); });
-
-  // Rewrite the demo exactly as the v2-era tool would have: v2 stream
-  // containers, and the META payload's format-version varint (right after
-  // the 8-byte "tsrdemo" string) saying 2.
-  Demo D = R.RecordedDemo;
-  std::vector<uint8_t> Meta = D.stream(StreamKind::Meta);
-  ASSERT_GT(Meta.size(), 8u);
-  ASSERT_EQ(Meta[8], Demo::FormatVersion);
-  Meta[8] = Demo::LegacyFormatVersion;
-  D.setStream(StreamKind::Meta, std::move(Meta));
+  const RunReport R = S.run([&PC] { pbzip::compressFile(PC); });
 
   const std::string Dir = freshDir("v2");
-  std::string Error;
-  ASSERT_TRUE(D.saveToDirectory(Dir, Error, Demo::LegacyFormatVersion))
-      << Error;
+  for (unsigned I = 0; I != NumStreamKinds; ++I) {
+    const StreamKind Kind = static_cast<StreamKind>(I);
+    std::string Error;
+    ASSERT_TRUE(R.RecordedDemo.saveToDirectory(Dir, Error)) << Error;
+    // Header byte 4 is the demo format version; say 2.
+    const std::string File = Dir + "/" + streamName(Kind);
+    const int Fd = ::open(File.c_str(), O_WRONLY);
+    ASSERT_GE(Fd, 0) << File;
+    const uint8_t V2 = 2;
+    ASSERT_EQ(::pwrite(Fd, &V2, 1, 4), 1);
+    ::close(Fd);
+    const std::string Named =
+        std::string(streamName(Kind)) + " stream is demo format version 2";
 
-  std::array<Demo::StreamCheck, NumStreamKinds> Checks;
-  ASSERT_TRUE(Demo::verifyDirectory(Dir, Checks, Error)) << Error;
-  for (const auto &Check : Checks)
-    if (Check.Present) {
-      EXPECT_EQ(Check.Version, Demo::LegacyFormatVersion);
-    }
+    Demo D;
+    Error.clear();
+    EXPECT_FALSE(D.loadFromDirectory(Dir, Error));
+    EXPECT_NE(Error.find(Named), std::string::npos) << Error;
 
-  Demo Loaded;
-  ASSERT_TRUE(Loaded.loadFromDirectory(Dir, Error)) << Error;
-  EXPECT_FALSE(Loaded.truncated());
-  EXPECT_TRUE(Loaded == D);
+    std::array<Demo::StreamCheck, NumStreamKinds> Checks;
+    Error.clear();
+    EXPECT_FALSE(Demo::verifyDirectory(Dir, Checks, Error));
+    EXPECT_NE(Error.find(Named), std::string::npos) << Error;
+    EXPECT_NE(Checks[I].Error.find(Named), std::string::npos)
+        << Checks[I].Error;
 
-  const RunReport RR = replayOnce(Loaded, Workload::Pbzip, 100);
-  EXPECT_EQ(RR.Desync, DesyncKind::None) << RR.DesyncInfo.Message;
+    Demo::SalvageReport Rep;
+    Error.clear();
+    EXPECT_FALSE(Demo::salvageDirectory(Dir, Rep, Error));
+    EXPECT_NE(Error.find(Named), std::string::npos) << Error;
+  }
   std::filesystem::remove_all(Dir);
 }
 

@@ -505,9 +505,9 @@ size_t chaosMutantCount() {
 }
 
 /// The chaos acceptance property: EVERY seeded mutant of an on-disk demo
-/// (current v3 and legacy v2 framing alike) must fall into one of three
-/// bins — clean load, repairable salvage, or a typed load error — and a
-/// loadable mutant must replay to completion under Adaptive recovery.
+/// must fall into one of three bins — clean load, repairable salvage, or a
+/// typed load error — and a loadable mutant must replay to completion
+/// under Adaptive recovery.
 /// Crashes and hangs are the only failure; the sweep is the fuzz corpus
 /// for the demo decoder and the recovery subsystem at once.
 TEST(DemoChaos, SeededMutationSweepNeverCrashes) {
@@ -516,47 +516,43 @@ TEST(DemoChaos, SeededMutationSweepNeverCrashes) {
   const std::string Dir = scratchDir("chaos");
   const size_t Mutants = chaosMutantCount();
 
-  for (const uint32_t Version :
-       {Demo::FormatVersion, Demo::LegacyFormatVersion}) {
-    for (size_t I = 0; I != Mutants; ++I) {
-      std::string Error;
-      ASSERT_TRUE(Rec.RecordedDemo.saveToDirectory(Dir, Error, Version))
-          << Error;
-      Prng Rng(0xC5A05EEDull + Version, 0xD15EA5Eull + I);
-      std::string Case;
-      const size_t NumMutations = 1 + Rng.nextBelow(3);
-      for (size_t M = 0; M != NumMutations; ++M)
-        Case += mutateDemoDirectory(Dir, Rng) + "; ";
+  for (size_t I = 0; I != Mutants; ++I) {
+    std::string Error;
+    ASSERT_TRUE(Rec.RecordedDemo.saveToDirectory(Dir, Error)) << Error;
+    Prng Rng(0xC5A05EEDull + Demo::FormatVersion, 0xD15EA5Eull + I);
+    std::string Case;
+    const size_t NumMutations = 1 + Rng.nextBelow(3);
+    for (size_t M = 0; M != NumMutations; ++M)
+      Case += mutateDemoDirectory(Dir, Rng) + "; ";
 
-      Demo D;
-      std::string LoadError;
-      bool Loadable = D.loadFromDirectory(Dir, LoadError);
-      if (!Loadable) {
-        // Damaged: the error must be typed (non-empty), and salvage must
-        // either repair to a loadable prefix or fail with its own typed
-        // error — never crash.
-        EXPECT_FALSE(LoadError.empty()) << Case;
-        Demo::SalvageReport Rep;
-        std::string SalvageError;
-        if (Demo::salvageDirectory(Dir, Rep, SalvageError)) {
-          Loadable = D.loadFromDirectory(Dir, LoadError);
-          EXPECT_TRUE(Loadable || !LoadError.empty()) << Case;
-        } else {
-          EXPECT_FALSE(SalvageError.empty()) << Case;
-        }
+    Demo D;
+    std::string LoadError;
+    bool Loadable = D.loadFromDirectory(Dir, LoadError);
+    if (!Loadable) {
+      // Damaged: the error must be typed (non-empty), and salvage must
+      // either repair to a loadable prefix or fail with its own typed
+      // error — never crash.
+      EXPECT_FALSE(LoadError.empty()) << Case;
+      Demo::SalvageReport Rep;
+      std::string SalvageError;
+      if (Demo::salvageDirectory(Dir, Rep, SalvageError)) {
+        Loadable = D.loadFromDirectory(Dir, LoadError);
+        EXPECT_TRUE(Loadable || !LoadError.empty()) << Case;
+      } else {
+        EXPECT_FALSE(SalvageError.empty()) << Case;
       }
+    }
 
-      if (Loadable) {
-        // Survivors must replay to completion under Adaptive recovery:
-        // soft desyncs and recovery actions are fine, wedging is not.
-        SessionConfig C = baseConfig(Mode::Replay, hostilePolicy());
-        C.ReplayDemo = &D;
-        C.Recovery.Mode = RecoveryMode::Adaptive;
-        Session S(C);
-        std::vector<int64_t> ReplayTrace;
-        RunReport Rep = S.run([&ReplayTrace] { hostileClient(ReplayTrace); });
-        EXPECT_FALSE(Rep.DesyncInfo.Message.empty()) << Case;
-      }
+    if (Loadable) {
+      // Survivors must replay to completion under Adaptive recovery:
+      // soft desyncs and recovery actions are fine, wedging is not.
+      SessionConfig C = baseConfig(Mode::Replay, hostilePolicy());
+      C.ReplayDemo = &D;
+      C.Recovery.Mode = RecoveryMode::Adaptive;
+      Session S(C);
+      std::vector<int64_t> ReplayTrace;
+      RunReport Rep = S.run([&ReplayTrace] { hostileClient(ReplayTrace); });
+      EXPECT_FALSE(Rep.DesyncInfo.Message.empty()) << Case;
     }
   }
   std::filesystem::remove_all(Dir);

@@ -713,47 +713,6 @@ TEST(SchedWakeup, TargetedParkingHasZeroSpuriousWakeupsQueue) {
   EXPECT_GT(R.Sched.TargetedWakeups, 0u);
 }
 
-TEST(SchedWakeup, WakePolicyDoesNotChangeTheSchedule) {
-  // The wake policy moves threads between parked and runnable but never
-  // picks who runs; record under one policy must replay cleanly under
-  // the other with an identical tick count.
-  RunReport Recorded;
-  {
-    SessionConfig C =
-        fixedSeeds(presets::tsan11rec(StrategyKind::Queue, Mode::Record), 13);
-    C.LivenessIntervalMs = 0;
-    C.Wake = WakePolicy::Targeted;
-    Session S(C);
-    Recorded = S.run(contendedWorkload);
-    EXPECT_EQ(Recorded.Desync, DesyncKind::None);
-  }
-  for (const WakePolicy Replay : {WakePolicy::Broadcast, WakePolicy::Targeted}) {
-    SessionConfig C =
-        fixedSeeds(presets::tsan11rec(StrategyKind::Queue, Mode::Replay), 13);
-    C.LivenessIntervalMs = 0;
-    C.Wake = Replay;
-    C.ReplayDemo = &Recorded.RecordedDemo;
-    Session S(C);
-    RunReport R = S.run(contendedWorkload);
-    EXPECT_EQ(R.Desync, DesyncKind::None)
-        << "replay policy " << static_cast<int>(Replay);
-    EXPECT_EQ(R.Sched.Ticks, Recorded.Sched.Ticks);
-  }
-}
-
-TEST(SchedWakeup, BroadcastPolicyStillCompletesAndCounts) {
-  // The notify_all baseline stays available for measurement; it must run
-  // the same workloads and report its wakeups under the broadcast bucket.
-  SessionConfig C = fixedSeeds(presets::tsan11rec(StrategyKind::Random), 14);
-  C.LivenessIntervalMs = 0;
-  C.Wake = WakePolicy::Broadcast;
-  Session S(C);
-  RunReport R = S.run(contendedWorkload);
-  EXPECT_EQ(R.Desync, DesyncKind::None);
-  EXPECT_GT(R.Sched.BroadcastWakeups, 0u);
-  EXPECT_EQ(R.Sched.TargetedWakeups, 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Tick commit pipeline
 //===----------------------------------------------------------------------===//

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 using namespace tsr;
 
@@ -90,21 +92,48 @@ TEST(Session, ReportCarriesSeedsAndTiming) {
 }
 
 TEST(Session, WatchdogKillsHungPrograms) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        SessionConfig C = fixedSeeds(SessionConfig());
-        C.WatchdogTimeoutMs = 200;
-        Session S(C);
-        S.run([] {
-          // A genuinely hung program: no visible ops, no progress, no
-          // exit. (An infinite *visible* loop would tick forever and
-          // never trip the watchdog.)
-          for (;;)
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        });
-      },
-      "session hung");
+  // A hung program: no visible ops, no progress, no exit — long past the
+  // salvage deadline. (An infinite *visible* loop would tick forever and
+  // never trip the watchdog.) The ladder salvages the run instead of
+  // aborting the process. When the program finally exits, its last
+  // visible op parks forever on the frozen designation; the session is
+  // leaked because that detached thread still references it.
+  SessionConfig C = fixedSeeds(SessionConfig());
+  C.Watchdog.PollMs = 10;
+  C.Watchdog.WarnAfterMs = 50;
+  C.Watchdog.NudgeAfterMs = 100;
+  C.Watchdog.SalvageAfterMs = 200;
+  Session *S = new Session(C); // leaked: the parked thread outlives the test
+  const RunReport R = S->run(
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(1500)); });
+  EXPECT_TRUE(R.StallSalvaged);
+  EXPECT_EQ(R.Desync, DesyncKind::Hard);
+  EXPECT_EQ(R.DesyncInfo.Reason, DesyncReason::WatchdogStall);
+  EXPECT_EQ(R.Recovered.WatchdogSalvages, 1u);
+}
+
+/// Threads of this process, from /proc/self/task.
+size_t osThreadCount() {
+  size_t N = 0;
+  for ([[maybe_unused]] const auto &E :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++N;
+  return N;
+}
+
+TEST(Session, RunSpawnsNoHelperThreads) {
+  // Default supervision: liveness rescheduling every 25 ms and the
+  // watchdog ladder armed. The thread blocked in run() drives both, so
+  // the only thread a run adds is the controlled main thread.
+  SessionConfig C;
+  C.Seed0 = 71;
+  C.Seed1 = 72;
+  ASSERT_EQ(C.LivenessIntervalMs, 25u);
+  Session S(C);
+  const size_t Before = osThreadCount();
+  size_t Inside = 0;
+  S.run([&Inside] { Inside = osThreadCount(); });
+  EXPECT_EQ(Inside, Before + 1);
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,11 +12,13 @@
 //        tsr-demo-dump repair <demo-dir>
 //
 // The verify subcommand checks every stream file's integrity framing
-// (magic, format version, kind byte, chunk CRCs for v3, payload CRC for
-// v2) and the record structure of each stream, printing per-stream sizes,
-// chunk counts and closure state. The repair subcommand salvages a demo
-// directory left behind by a crashed recording: it drops torn chunk tails
-// and cross-trims every stream to the last consistent tick frontier.
+// (magic, format version, kind byte, chunk CRCs) and the record structure
+// of each stream, printing per-stream sizes, chunk counts and closure
+// state. Only the current demo format (v3) verifies; a stream of any other
+// version fails with an error naming the stream and its version. The
+// repair subcommand salvages a demo directory left behind by a crashed
+// recording: it drops torn chunk tails and cross-trims every stream to the
+// last consistent tick frontier.
 //
 //===----------------------------------------------------------------------===//
 
@@ -170,12 +172,9 @@ int verifyCommand(const char *Dir) {
       continue;
     }
     char Framing[64];
-    if (C.Version >= Demo::FormatVersion)
-      std::snprintf(Framing, sizeof(Framing), "v%u %zu chunk%s %s",
-                    C.Version, C.Chunks, C.Chunks == 1 ? "" : "s",
-                    C.Closed ? "closed" : "OPEN");
-    else
-      std::snprintf(Framing, sizeof(Framing), "v%u", C.Version);
+    std::snprintf(Framing, sizeof(Framing), "v%u %zu chunk%s %s",
+                  Demo::FormatVersion, C.Chunks, C.Chunks == 1 ? "" : "s",
+                  C.Closed ? "closed" : "OPEN");
     if (Decoded)
       std::printf("  %-7s ok    %6zu bytes  crc32=%08x  [%s]  %zu record%s\n",
                   Name, C.PayloadBytes, C.Crc, Framing,
