@@ -7,11 +7,12 @@
 # Usage: scripts/verify.sh [--fast] [--crash-matrix] [--trace] [--chaos]
 #        [--profile] [--fleet] [--tsan]
 #   --fast          plain configuration only (skips the sanitizer builds).
-#   --tsan          run only the lock-free commit-pipeline gate: the
-#                   scheduler, shadow-memory and trace suites built with
-#                   TSR_SANITIZE=thread, so the ticket/epoch fast path's
-#                   atomics are checked by ThreadSanitizer rather than by
-#                   code review alone.
+#   --tsan          run only the ThreadSanitizer gate: every case of the
+#                   scheduler, litmus, trace, shadow-memory, SessionPool
+#                   and profiler suites built with TSR_SANITIZE=thread,
+#                   each repeated until it fails or passes 20 times, so
+#                   the lock-free paths are checked on many interleavings
+#                   rather than by code review alone.
 #   --crash-matrix  run only the CrashRecovery kill-matrix tests (plain +
 #                   ASan) — the crash-consistency gate, repeated to shake
 #                   out timing-dependent salvage bugs.
@@ -255,19 +256,25 @@ run_fleet_smoke() {
   rm -rf "$scratch"
 }
 
-# TSan gate: the suites that drive the lock-free tick commit pipeline
-# (scheduler protocol, litmus schedules, shadow memory, tracing) under
-# ThreadSanitizer. The pipelined fast path hands plain committer-owned
-# state across threads through atomic publish/claim edges; TSan checks
-# those edges mechanically on every handoff the suites exercise.
+# TSan gate: every case of the suites that drive the lock-free paths —
+# the tick commit pipeline and the thread table it reads (scheduler
+# protocol, litmus schedules), the shadow memory, the trace rings,
+# concurrent sessions and the profiler — under ThreadSanitizer. A pass
+# judges one interleaving, so each case repeats until it fails or passes
+# 20 times. Var<T> accessors are exempt (their races are the program's,
+# reported by tsr's own detector), so any report is a runtime bug.
+# The name regex lists every suite of the six binaries; ctest names
+# parameterised suites with their prefix (Backends/, Suite/).
+TSAN_SUITES='^(Sched[A-Za-z]*|Strategy|TickCommit|LitmusSuite|Suite/LitmusProperty|Metrics|Trace[A-Za-z]*|Backends/ShadowTableTest|RaceStress|ShadowBackendEquivalence|SessionPool|Profile[A-Za-z]*|Telemetry)\.'
 run_tsan() {
   dir="build-verify-tsan"
   echo "== tsan: configure + build ($dir)"
   cmake -B "$dir" -S . -DTSR_SANITIZE=thread >/dev/null
-  cmake --build "$dir" -j "$JOBS" \
-    --target sched_test litmus_property_test trace_test >/dev/null
-  echo "== tsan: ctest -R 'Sched|Litmus|Trace'"
-  ctest --test-dir "$dir" --output-on-failure -R 'Sched|Litmus|Trace'
+  cmake --build "$dir" -j "$JOBS" --target sched_test litmus_property_test \
+    trace_test race_stress_test session_pool_test profile_test >/dev/null
+  echo "== tsan: ctest --repeat until-fail:20 (nproc = $JOBS)"
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
+    --repeat until-fail:20 -R "$TSAN_SUITES"
 }
 
 if [ "$TSAN" -eq 1 ]; then

@@ -28,13 +28,12 @@ bool AtomicModel::isRelease(std::memory_order MO) {
 }
 
 AtomicModel::Location &AtomicModel::locationFor(uintptr_t Addr) {
-  auto It = Locations.find(Addr);
-  if (It != Locations.end())
-    return It->second;
-  Location &L = Locations[Addr];
+  std::lock_guard<std::mutex> G(LocationsMu);
+  auto [It, Inserted] = Locations.try_emplace(Addr);
   // Implicit zero-initialisation: one store visible to every thread.
-  L.History.push_back(StoreRecord{});
-  return L;
+  if (Inserted)
+    It->second.History.push_back(StoreRecord{});
+  return It->second;
 }
 
 AtomicModel::PerThread &AtomicModel::threadFor(Tid T) {
@@ -46,6 +45,7 @@ AtomicModel::PerThread &AtomicModel::threadFor(Tid T) {
 void AtomicModel::init(uintptr_t Addr, uint64_t Value) {
   // Construction is not a visible operation, but it resets any history a
   // previous object at the same address left behind.
+  std::lock_guard<std::mutex> G(LocationsMu);
   Location &L = Locations[Addr];
   L = Location{};
   StoreRecord S;
@@ -248,4 +248,7 @@ void AtomicModel::fence(Tid T, std::memory_order MO) {
   }
 }
 
-void AtomicModel::forget(uintptr_t Addr) { Locations.erase(Addr); }
+void AtomicModel::forget(uintptr_t Addr) {
+  std::lock_guard<std::mutex> G(LocationsMu);
+  Locations.erase(Addr);
+}

@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -156,6 +157,10 @@ private:
   ChoiceFn Choice;
   AtomicModelOptions Opts;
   std::unordered_map<uintptr_t, Location> Locations;
+  /// Guards Locations' structure: init/forget run in invisible code, in
+  /// parallel with critical-section lookups. Nodes never move, so a
+  /// Location reference stays valid after unlocking. A leaf lock.
+  std::mutex LocationsMu;
   std::vector<PerThread> Threads;
   AtomicModelStats Stats;
 };

@@ -59,8 +59,6 @@ void RaceDetector::registerMainThread() {
 
 void RaceDetector::forkChild(Tid Parent, Tid Child) {
   std::lock_guard<std::mutex> L(ClocksMu);
-  assert(Parent < MaxThreads && Child < MaxThreads &&
-         "thread id beyond detector capacity");
   VectorClock *PC = Threads[Parent].VC.load(std::memory_order_relaxed);
   assert(PC && "unknown parent thread");
   assert(!Threads[Child].VC.load(std::memory_order_relaxed) &&

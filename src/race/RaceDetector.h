@@ -75,12 +75,6 @@ struct RaceDetectorStats {
 /// The happens-before race detector.
 class RaceDetector {
 public:
-  /// Hard capacity bound on controlled threads. Fixed so per-thread state
-  /// (clock pointers, counters) lives in a stable array that concurrent
-  /// plain accesses can read without locking, and so tids always fit the
-  /// 16-bit field of the packed shadow word.
-  static constexpr size_t MaxThreads = 1024;
-
   explicit RaceDetector(RaceShadowMode Shadow = RaceShadowMode::TwoLevel);
   ~RaceDetector();
 
@@ -198,8 +192,10 @@ private:
   // Zero means "no state" (a valid slot has E >= 1 and Size >= 1).
   // PackedSentinel marks state the fast path must not reason about (an
   // unpackable epoch, or an inflated read set); it can never equal a
-  // packed slot because no real tid reaches 0xFFFF (MaxThreads is 1024).
+  // packed slot because no real tid reaches 0xFFFF.
   static constexpr uint64_t PackedSentinel = ~0ull;
+  static_assert(MaxThreads <= 0xFFFF,
+                "tids must fit the packed slot's 16-bit field below 0xFFFF");
   static constexpr Epoch MaxPackedEpoch = (Epoch(1) << 40) - 1;
 
   static uint64_t packSlot(Epoch E, Tid T, uint8_t Off, uint8_t Size) {
@@ -263,9 +259,10 @@ private:
   /// Optional execution-trace recorder (see setTrace).
   TraceRecorder *Trace = nullptr;
 
-  /// Per-thread clocks and counters, indexed by tid. Fixed capacity so
-  /// readers never observe a reallocation; ClocksMu serialises
-  /// registration only (clock publication is the release store in VC).
+  /// Per-thread clocks and counters, indexed by tid (MaxThreads, shared
+  /// with the scheduler's table). Fixed capacity so readers never observe
+  /// a reallocation; ClocksMu serialises registration only (clock
+  /// publication is the release store in VC).
   std::array<ThreadCell, MaxThreads> Threads;
   std::mutex ClocksMu;
 

@@ -793,13 +793,13 @@ void Session::superviseRun() {
   // The liveness poll and the watchdog ladder each keep their own
   // deadline, so a thread exit waking the wait early postpones neither.
   using Clock = std::chrono::steady_clock;
+  constexpr uint32_t LadderPeriodMs = 50;
   const auto Millis = [](uint32_t Ms) { return std::chrono::milliseconds(Ms); };
   Clock::time_point NextLiveness =
       Config.LivenessIntervalMs
           ? Clock::now() + Millis(Config.LivenessIntervalMs)
           : Clock::time_point::max();
-  Clock::time_point NextWatchdog =
-      Clock::now() + Millis(Config.Watchdog.PollMs);
+  Clock::time_point NextWatchdog = Clock::now() + Millis(LadderPeriodMs);
 
   // The ladder escalates warn -> nudge -> salvage while the tick frontier
   // stays frozen. Each rung fires at its wall-clock deadline, or earlier
@@ -820,7 +820,7 @@ void Session::superviseRun() {
     }
     if (Now < NextWatchdog)
       continue;
-    NextWatchdog = Now + Millis(Config.Watchdog.PollMs);
+    NextWatchdog = Now + Millis(LadderPeriodMs);
     const uint64_t Tick = Sched->currentTick();
     if (Tick != LastTick) {
       LastTick = Tick;

@@ -105,9 +105,6 @@ struct RecordFlushPolicy {
 /// shutdown that leaves a replayable demo, extending the deadlock salvage
 /// to non-deadlock hangs). Every rung lands on the recovery timeline.
 struct WatchdogPolicy {
-  /// Poll period.
-  uint32_t PollMs = 50;
-
   /// Wall-clock ms of frozen tick frontier before each rung fires.
   uint32_t WarnAfterMs = 5000;
   uint32_t NudgeAfterMs = 10000;
@@ -622,7 +619,7 @@ private:
 
   /// Blocks run()'s thread until the run ends, meanwhile driving the
   /// liveness poll (§3.3) every LivenessIntervalMs and the watchdog ladder
-  /// every Watchdog.PollMs — the session needs no helper threads.
+  /// every 50 ms — the session needs no helper threads.
   void superviseRun();
 
   bool HasRun = false;

@@ -10,7 +10,8 @@
 /// are invisible operations (no scheduling point — invisible regions run
 /// in parallel, §3.1) but are checked by the happens-before race detector,
 /// exactly like tsan's compile-time instrumentation of plain loads and
-/// stores. An optional name makes race reports readable.
+/// stores. An optional name makes race reports readable. The raw accesses
+/// are exempt from ThreadSanitizer: their races are the program's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #define TSR_RUNTIME_VAR_H
 
 #include "runtime/Session.h"
+#include "support/Compiler.h"
 
 #include <type_traits>
 
@@ -46,7 +48,7 @@ public:
   Var &operator=(const Var &) = delete;
 
   /// Instrumented read.
-  T get() const {
+  TSR_NO_SANITIZE_THREAD T get() const {
     const AccessContext C = Session::currentAccessContext();
     if (C.S)
       C.S->race().onPlainRead(C.T, addr(), sizeof(T));
@@ -54,7 +56,7 @@ public:
   }
 
   /// Instrumented write.
-  void set(const T &V) {
+  TSR_NO_SANITIZE_THREAD void set(const T &V) {
     const AccessContext C = Session::currentAccessContext();
     if (C.S)
       C.S->race().onPlainWrite(C.T, addr(), sizeof(T));
@@ -74,7 +76,7 @@ private:
 };
 
 /// Instrumented access to arbitrary storage (arrays, struct fields).
-template <typename T> T plainRead(const T &Ref) {
+template <typename T> TSR_NO_SANITIZE_THREAD T plainRead(const T &Ref) {
   const AccessContext C = Session::currentAccessContext();
   if (C.S)
     C.S->race().onPlainRead(C.T, reinterpret_cast<uintptr_t>(&Ref),
@@ -82,7 +84,8 @@ template <typename T> T plainRead(const T &Ref) {
   return Ref;
 }
 
-template <typename T> void plainWrite(T &Ref, const T &V) {
+template <typename T>
+TSR_NO_SANITIZE_THREAD void plainWrite(T &Ref, const T &V) {
   const AccessContext C = Session::currentAccessContext();
   if (C.S)
     C.S->race().onPlainWrite(C.T, reinterpret_cast<uintptr_t>(&Ref),

@@ -124,8 +124,9 @@ void Scheduler::parseReplayStreams(const Demo &D) {
 
 Tid Scheduler::addMainThread() {
   std::lock_guard<std::mutex> L(Mu);
-  assert(Threads.empty() && "main thread must be registered first");
-  Threads.emplace_back();
+  assert(NumThreads == 0 && "main thread must be registered first");
+  Threads[0] = std::make_unique<ThreadState>();
+  NumThreads = 1;
   Strat->onThreadNew(0, Rng);
   if (TSR_UNLIKELY(Trace != nullptr))
     Trace->emit(0, TraceEventKind::ThreadStart, 0, /*Child=*/0);
@@ -152,6 +153,7 @@ bool Scheduler::tryFastClaim(Tid Self) {
   // comes through the pipeline or the mutex. This is the one strategy
   // hook that runs outside the commit chain (see Strategy.h).
   Strat->onArrive(Self);
+  ThreadState &TS = *Threads[Self];
   for (int I = 0, E = claimSpins(); I != E; ++I) {
     const uint64_t G = FastGrant.load(std::memory_order_acquire);
     const Tid Who = G == kNoFastGrant ? InvalidTid : grantTid(G);
@@ -162,36 +164,28 @@ bool Scheduler::tryFastClaim(Tid Self) {
       // Anything that needs the slow path's pre-commit work (pending raw
       // signals -> noticeSignalsLocked, retire) declines the claim. The
       // grant stays published, so the park predicate passes immediately.
-      if (RetireRequested ||
-          Threads[Self].RawCount.load(std::memory_order_acquire) != 0)
+      if (RetireRequested || TS.RawCount.load(std::memory_order_acquire) != 0)
         return false;
       // An FCFS grant is for enabled arrivals only; a blocked thread is
       // here just to park. (Own flag: only we disable ourselves, so the
       // lock-free read cannot claim while actually blocked.)
-      if (Who == AnyTid && !Threads[Self].Enabled)
+      if (Who == AnyTid && !TS.Enabled)
         return false;
       // Claim order matters: InCritical goes up *before* the CAS so a
       // revoker whose exchange() comes back empty can tell "claimed and
       // running" from "never granted" by reading InCritical (the RMW on
       // FastGrant carries the store).
-      Threads[Self].InCritical.store(true, std::memory_order_seq_cst);
+      TS.InCritical.store(true, std::memory_order_seq_cst);
       uint64_t Expected = G;
       if (FastGrant.compare_exchange_strong(Expected, kNoFastGrant,
                                             std::memory_order_acq_rel)) {
+        Active.store(Self, std::memory_order_release);
         if (Who == AnyTid && noteFcfsClaim(Self))
           std::this_thread::yield();
         return true;
       }
-      if (Who == Self) {
-        // Revoked under us. The revoker held Mu, so no critical section
-        // is running and the thread table is stable for this store.
-        Threads[Self].InCritical.store(false, std::memory_order_seq_cst);
-        return false;
-      }
-      // Lost the FCFS race: the winner is already in its critical
-      // section and may be reallocating Threads (threadNew), so the
-      // revert of InCritical waits until wait() holds Mu. Until then
-      // the stale flag only makes revokers stand down — conservative.
+      // Revoked under us, or another arrival won the FCFS race.
+      TS.InCritical.store(false, std::memory_order_seq_cst);
       return false;
     }
     cpuRelax();
@@ -201,10 +195,9 @@ bool Scheduler::tryFastClaim(Tid Self) {
 
 bool Scheduler::noteFcfsClaim(Tid Self) {
   // The lock-free twin of grantIfAnyLocked. The claimant owns the
-  // critical section (the CAS above won the word), and every mutex-side
-  // reader of these fields sits behind an Active == AnyTid guard, which
-  // a pipelined FCFS grant never sets — so the plain writes cannot race.
-  Active.store(Self, std::memory_order_release);
+  // critical section (its CAS won the word), and every mutex-side reader
+  // of these fields sits behind an Active == AnyTid guard, which a
+  // pipelined FCFS grant never sets — so the plain writes cannot race.
   Strat->onDesignated(Self);
   if (Self == LastGranter) {
     ++SelfGrantStreak;
@@ -227,17 +220,12 @@ void Scheduler::wait(Tid Self) {
       return;
   }
   std::unique_lock<std::mutex> L(Mu);
-  assert(Self < Threads.size() && "unknown thread in wait()");
-  // A lost FCFS CAS race leaves our InCritical flag set (tryFastClaim
-  // cannot revert it lock-free: the race winner is already critical and
-  // may be reallocating Threads). Clear it here, where Mu makes the
-  // table stable; the transient stale-true only made revokers stand
-  // down, which is the conservative direction.
-  Threads[Self].InCritical.store(false, std::memory_order_relaxed);
+  assert(Self < NumThreads && "unknown thread in wait()");
+  ThreadState &TS = *Threads[Self];
   if (TSR_UNLIKELY(RetireRequested) && maybeRetireLocked(Self, L))
     return; // degenerate retire grant; tick() releases it
   noticeSignalsLocked(Self);
-  Threads[Self].Parked.store(true, std::memory_order_seq_cst);
+  TS.Parked.store(true, std::memory_order_seq_cst);
   ParkedCount.fetch_add(1, std::memory_order_seq_cst);
   if (!PipelineEnabled)
     Strat->onArrive(Self); // pipelined mode announced in tryFastClaim
@@ -246,16 +234,17 @@ void Scheduler::wait(Tid Self) {
   // Self) or an unclaimed pipelined grant published while we were parking.
   // The FastGrant check is the parker's half of the Dekker pair with
   // tryFastCommit: we store Parked+ParkedCount (seq_cst) *then* load
-  // FastGrant (seq_cst); the committer stores FastGrant then loads
-  // ParkedCount — one of the two must observe the other, so the handoff
-  // is never lost. A concrete grant observed here is consumed without a
-  // CAS: the mutex serialises us against revokers, and slowTick's
-  // hygiene clears the leftover word. An FCFS (AnyTid) grant is shared
-  // with running claimants that do not take Mu, so it is consumed by CAS
-  // only; the designation bookkeeping runs after the park loop exits.
+  // FastGrant (seq_cst); the committer stores FastGrant then loads its
+  // successor's Parked (or, for an FCFS grant, ParkedCount) — one of the
+  // two must observe the other, so the handoff is never lost. A concrete
+  // grant observed here is consumed without a CAS: the mutex serialises
+  // us against revokers, and slowTick's hygiene clears the leftover word.
+  // An FCFS (AnyTid) grant is shared with running claimants that do not
+  // take Mu, so it is consumed by CAS only; the designation bookkeeping
+  // runs after the park loop exits.
   bool ClaimedFcfs = false;
   const auto Granted = [&] {
-    if (Threads[Self].Enabled && Active.load(std::memory_order_acquire) == Self)
+    if (TS.Enabled && Active.load(std::memory_order_acquire) == Self)
       return true;
     if (!PipelineEnabled)
       return false;
@@ -265,7 +254,7 @@ void Scheduler::wait(Tid Self) {
     if (G == kNoFastGrant || grantTid(G) != AnyTid ||
         grantTicket(G) !=
             static_cast<uint32_t>(CurTick.load(std::memory_order_relaxed)) ||
-        !Threads[Self].Enabled)
+        !TS.Enabled)
       return false;
     uint64_t Expected = G;
     if (!FastGrant.compare_exchange_strong(Expected, kNoFastGrant,
@@ -274,37 +263,35 @@ void Scheduler::wait(Tid Self) {
     ClaimedFcfs = true;
     return true;
   };
+  // One Granted() per wake: its FCFS CAS consumes the grant, so a second
+  // call would park the grant's new owner.
   bool Blocked = false;
-  // The slot outlives any Threads reallocation (threadNew runs while we
-  // block); the ThreadState reference would not, so the loop re-indexes
-  // Threads[Self] instead of caching it.
-  ParkSlot &Slot = *Threads[Self].Slot;
   while (!Granted()) {
-    if (TSR_UNLIKELY(Trace != nullptr) && !Blocked) {
-      Blocked = true;
+    if (Blocked)
+      ++Stats.SpuriousWakeups; // woken, yet the predicate still fails
+    else if (TSR_UNLIKELY(Trace != nullptr))
       Trace->emit(Self, TraceEventKind::Park,
                   CurTick.load(std::memory_order_relaxed));
-    }
-    Slot.Cv.wait(L, [&Slot] { return Slot.Notified; });
-    Slot.Notified = false;
+    Blocked = true;
+    TS.Cv.wait(L, [&TS] { return TS.Notified; });
+    TS.Notified = false;
     if (TSR_UNLIKELY(RetireRequested) && maybeRetireLocked(Self, L))
       return;
     grantIfAnyLocked(Self);
-    if (!Granted())
-      ++Stats.SpuriousWakeups;
   }
   if (TSR_UNLIKELY(Trace != nullptr) && Blocked)
     Trace->emit(Self, TraceEventKind::Wake,
                 CurTick.load(std::memory_order_relaxed));
   ParkedCount.fetch_sub(1, std::memory_order_seq_cst);
-  Threads[Self].Parked.store(false, std::memory_order_relaxed);
-  Threads[Self].InCritical.store(true, std::memory_order_relaxed);
+  TS.Parked.store(false, std::memory_order_relaxed);
+  TS.InCritical.store(true, std::memory_order_relaxed);
+  Active.store(Self, std::memory_order_release); // see tryFastCommit
   if (ClaimedFcfs)
     noteFcfsClaim(Self); // yield hint irrelevant: we already slept on Mu
 }
 
 bool Scheduler::maybeRetireLocked(Tid Self, std::unique_lock<std::mutex> &L) {
-  ThreadState &TS = Threads[Self];
+  ThreadState &TS = *Threads[Self];
   if (!TS.RetireThrown) {
     // First retire of this thread: finish it for scheduling purposes and
     // unwind it out of the controlled body. The throw happens with the
@@ -338,7 +325,7 @@ bool Scheduler::maybeRetireLocked(Tid Self, std::unique_lock<std::mutex> &L) {
 }
 
 void Scheduler::grantIfAnyLocked(Tid Self) {
-  if (Active != AnyTid || !Threads[Self].Enabled || Threads[Self].Finished)
+  if (Active != AnyTid || !Threads[Self]->Enabled || Threads[Self]->Finished)
     return;
   Active = Self;
   Strat->onDesignated(Self);
@@ -374,15 +361,16 @@ bool Scheduler::tryFastCommit(Tid Self) {
   // abort, the commit never began.
   if (AsyncGate.load(std::memory_order_seq_cst) != 0)
     return false;
-  CommitBusy.store(1, std::memory_order_seq_cst);
+  CommitBusy.fetch_add(1, std::memory_order_seq_cst);
   if (AsyncGate.load(std::memory_order_seq_cst) != 0) {
-    CommitBusy.store(0, std::memory_order_release);
+    CommitBusy.fetch_sub(1, std::memory_order_release);
     return false;
   }
-  // Commit owner from here until CommitBusy drops: gated entry points
-  // spin behind us and the single-critical-section invariant keeps other
-  // committers out, so plain committer-owned state (Stats, Strat, Rng,
-  // record byte streams, flush cursors, replay cursors) is safe to touch.
+  // Commit owner from here until FastGrant is published (or the commit
+  // aborts): gated entry points spin behind our CommitBusy count and the
+  // single-critical-section invariant keeps other committers out, so
+  // plain committer-owned state (Stats, Strat, Rng, record byte streams,
+  // flush cursors, replay cursors) is safe to touch.
   assert(Active.load(std::memory_order_relaxed) == Self &&
          "tick() by a non-designated thread");
   bool Committed = false;
@@ -392,7 +380,7 @@ bool Scheduler::tryFastCommit(Tid Self) {
   uint32_t ParkSnap = 0;
   uint64_t EventTick = 0;
   do {
-    ThreadState &TS = Threads[Self];
+    ThreadState &TS = *Threads[Self];
     // Slow-path-only machinery: terminal latches, degenerate retire
     // grants, free-run FCFS, pending raw signals (need
     // noticeSignalsLocked's SIGNAL bytes before the tick is logged).
@@ -439,7 +427,7 @@ bool Scheduler::tryFastCommit(Tid Self) {
       if (Idx >= ReplayQueue.size())
         break;
       const uint64_t T = ReplayQueue[Idx];
-      if (T >= Threads.size() || Threads[T].Finished || !Threads[T].Enabled)
+      if (T >= NumThreads || Threads[T]->Finished || !Threads[T]->Enabled)
         break;
       Next = static_cast<Tid>(T);
     } else {
@@ -458,7 +446,7 @@ bool Scheduler::tryFastCommit(Tid Self) {
           break; // InvalidTid designations need the deadlock check
         FcfsBypassStreak = 0;
         Next = AnyTid;
-      } else if (FcfsOk && Threads[Self].Enabled &&
+      } else if (FcfsOk && Threads[Self]->Enabled &&
                  FcfsBypassStreak < FcfsBypassLimit) {
         // Bounded FCFS self-preference. Designating a parked arrival
         // concretely costs a condvar round trip per tick and parks the
@@ -472,13 +460,10 @@ bool Scheduler::tryFastCommit(Tid Self) {
         // wait stays bounded. The mutex path needs no analogue: its
         // commit serialisation delays arrival registration past the
         // pick, which breaks the wake-per-tick cycle by accident.
-        // The in-gate scan is safe: with no claimable grant published
-        // there is no critical section, so no threadNew can be
-        // reallocating the table.
         bool ParkedWaiter = false;
-        for (const ThreadState &TS2 : Threads)
-          if (TS2.Parked.load(std::memory_order_seq_cst) && TS2.Enabled &&
-              !TS2.Finished) {
+        for (const auto &TS2 : registered())
+          if (TS2->Parked.load(std::memory_order_seq_cst) && TS2->Enabled &&
+              !TS2->Finished) {
             ParkedWaiter = true;
             break;
           }
@@ -510,25 +495,20 @@ bool Scheduler::tryFastCommit(Tid Self) {
       // FCFS grant: first claimant wins by CAS; the designation
       // bookkeeping (Active, onDesignated, streak) runs claimant-side in
       // noteFcfsClaim. Like the slow path, no StrategyDecision is traced
-      // — the QUEUE stream's logged tick is the decision. Active gets the
-      // InvalidTid sentinel: it must match nobody's park predicate (the
-      // winner is chosen by CAS alone) and must not be AnyTid, which
-      // would open grantIfAnyLocked as a second, uncoordinated grant
-      // path. Snapshot the parked population first (table is stable
-      // pre-publish) so the post-gate wake check can skip Mu when no
-      // parked enabled claimant existed. A bypass commit skips the scan
-      // on purpose: its waiters are known parked, the committer itself
-      // is the guaranteed claimant, and converting the grant for a
-      // waiter would undo the bypass.
+      // — the QUEUE stream's logged tick is the decision. Snapshot the
+      // parked population first so the post-gate wake check can skip Mu
+      // when no parked enabled claimant existed. A bypass commit skips
+      // the scan on purpose: its waiters are known parked, the committer
+      // itself is the guaranteed claimant, and converting the grant for
+      // a waiter would undo the bypass.
       ParkSnap = ParkedCount.load(std::memory_order_seq_cst);
       if (!FcfsBypass)
-        for (const ThreadState &TS2 : Threads)
-          if (TS2.Parked.load(std::memory_order_seq_cst) && TS2.Enabled &&
-              !TS2.Finished) {
+        for (const auto &TS2 : registered())
+          if (TS2->Parked.load(std::memory_order_seq_cst) && TS2->Enabled &&
+              !TS2->Finished) {
             RacerPossible = true;
             break;
           }
-      Active.store(InvalidTid, std::memory_order_release);
     } else {
       if (FcfsBypassStreak != 0) {
         // This concrete designation ends a bypass burst: slide the next
@@ -539,7 +519,6 @@ bool Scheduler::tryFastCommit(Tid Self) {
                               : FcfsBypassLimit - 1;
         FcfsBypassStreak = 0;
       }
-      Active.store(Next, std::memory_order_release);
       Strat->onDesignated(Next);
       if (TSR_UNLIKELY(Trace != nullptr))
         Trace->emitEngine(TraceEventKind::StrategyDecision, EventTick + 1,
@@ -547,26 +526,28 @@ bool Scheduler::tryFastCommit(Tid Self) {
       if (Opts.DesignationHook && Strat->designatesEagerly())
         Opts.DesignationHook(Next);
     }
-    // Publish the ticket last: everything the successor needs is written.
+    // Publish last: the ticket is the only way into the next critical
+    // section. Active gets the InvalidTid sentinel, never the successor —
+    // that would admit a mutex-path successor before the ticket lands,
+    // whose late store would then overwrite the successor's own grant.
+    // The claimant names itself once it holds the grant.
+    Active.store(InvalidTid, std::memory_order_release);
     FastGrant.store(packGrant(Next, EventTick + 1), std::memory_order_seq_cst);
     Committed = true;
   } while (false);
   if (!Committed)
     ++Stats.FastPathAborts; // still gate-owned: plain increment is safe
-  CommitBusy.store(0, std::memory_order_release);
+  CommitBusy.fetch_sub(1, std::memory_order_release);
   if (!Committed)
     return false;
   // Dekker handoff, committer's half: FastGrant published seq_cst above,
-  // ParkedCount loaded seq_cst here. A successor observed parked (or
+  // the parked state loaded seq_cst here. A successor observed parked (or
   // mid-park) gets a mutex wake; wakeTargetLocked re-checks the full
-  // predicate so SpuriousWakeups stays zero. The check reads the stable
-  // counter rather than ThreadState::Parked: once the grant is published
-  // a claimant may already be critical and reallocating Threads
-  // (threadNew), so any indexed read of the table is hazardous here.
-  // CommitBusy is already released — taking Mu while holding it would
-  // deadlock against asyncEnter.
+  // predicate so SpuriousWakeups stays zero. CommitBusy is already
+  // released — taking Mu while holding it would deadlock against
+  // asyncEnter.
   if (Next == AnyTid) {
-    // A parked enabled claimant cannot CAS (it sleeps on its ParkSlot),
+    // A parked enabled claimant cannot CAS (it sleeps on its condvar),
     // so the grant must be converted under Mu — but only when one could
     // exist. ABA on the count is benign: any unpark in the window means
     // the grant was already claimed through a park predicate, and the
@@ -577,7 +558,7 @@ bool Scheduler::tryFastCommit(Tid Self) {
       convertFcfsGrantLocked(packGrant(AnyTid, EventTick + 1));
     }
   } else if (Next != Self &&
-             ParkedCount.load(std::memory_order_seq_cst) != 0) {
+             Threads[Next]->Parked.load(std::memory_order_seq_cst)) {
     std::lock_guard<std::mutex> L(Mu);
     wakeTargetLocked(Next);
   }
@@ -591,10 +572,10 @@ void Scheduler::convertFcfsGrantLocked(uint64_t Grant) {
   // CAS race instead could lose it to a running claimant and re-park it,
   // which would break the SpuriousWakeups == 0 contract — so the grant
   // is converted to a concrete one for the chosen thread first.
-  const Tid N = static_cast<Tid>(Threads.size());
+  const Tid N = NumThreads;
   for (Tid Step = 1; Step <= N; ++Step) {
     const Tid T = (AnyWakeCursor + Step) % N;
-    ThreadState &TS = Threads[T];
+    ThreadState &TS = *Threads[T];
     if (TS.Finished || !TS.Parked.load(std::memory_order_seq_cst) ||
         !TS.Enabled)
       continue;
@@ -604,10 +585,8 @@ void Scheduler::convertFcfsGrantLocked(uint64_t Grant) {
                                            std::memory_order_acq_rel))
       return; // claimed (or revoked) in the window; nothing to convert
     AnyWakeCursor = T;
-    // Mirror noteFcfsClaim/grantIfAnyLocked: Active must name the target
-    // before wakeTargetLocked's predicate check, and the streak tracking
-    // stays consistent across grant paths.
-    Active.store(T, std::memory_order_release);
+    // Mirror noteFcfsClaim/grantIfAnyLocked so the streak tracking stays
+    // consistent across grant paths; T names itself in Active on waking.
     Strat->onDesignated(T);
     if (T == LastGranter) {
       ++SelfGrantStreak;
@@ -630,10 +609,10 @@ void Scheduler::slowTick(Tid Self) {
   bool YieldAfterUnlock = false;
   {
     std::unique_lock<std::mutex> L(Mu);
-    if (TSR_UNLIKELY(Threads[Self].RetireThrown)) {
+    if (TSR_UNLIKELY(Threads[Self]->RetireThrown)) {
       // Closing a degenerate retire grant: release the serialised
       // section and do no scheduling work (the thread is Finished).
-      Threads[Self].InCritical = false;
+      Threads[Self]->InCritical = false;
       RetireCsBusy = false;
       RetireCv.notify_one();
       return;
@@ -643,12 +622,12 @@ void Scheduler::slowTick(Tid Self) {
       // mid-critical-section. Drop the section without ticking; the
       // thread parks forever at its next wait() and the session detaches
       // it.
-      Threads[Self].InCritical = false;
+      Threads[Self]->InCritical = false;
       return;
     }
     assert(Active == Self && "tick() by a non-designated thread");
-    assert(Threads[Self].InCritical && "tick() without a matching wait()");
-    Threads[Self].InCritical = false;
+    assert(Threads[Self]->InCritical && "tick() without a matching wait()");
+    Threads[Self]->InCritical = false;
     // Grant hygiene: the only word that can linger here is our own
     // concrete grant, consumed through the park predicate instead of a
     // CAS (FCFS words are always CAS-consumed and never linger). Clear
@@ -713,20 +692,21 @@ void Scheduler::wakeForDesignationLocked() {
 }
 
 void Scheduler::wakeTargetLocked(Tid T) {
-  if (T >= Threads.size())
+  if (T >= NumThreads)
     return;
-  ThreadState &TS = Threads[T];
+  ThreadState &TS = *Threads[T];
   // Notify only when the full wait() predicate holds: waking a thread
   // that cannot proceed would have it re-check and re-block — a spurious
   // wakeup by definition. A designated thread that has not parked yet
   // needs no notify either; it checks the predicate before first
   // sleeping.
-  if (TS.Finished || !TS.Parked || !TS.Enabled || Active != T)
+  if (TS.Finished || !TS.Parked || !TS.Enabled ||
+      (Active != T && !(PipelineEnabled && fastGrantMine(T))))
     return;
-  if (TS.Slot->Notified)
+  if (TS.Notified)
     return;
-  TS.Slot->Notified = true;
-  TS.Slot->Cv.notify_one();
+  TS.Notified = true;
+  TS.Cv.notify_one();
   ++Stats.TargetedWakeups;
 }
 
@@ -735,18 +715,18 @@ void Scheduler::wakeAnyLocked() {
   // whoever claims it ticks, and that tick wakes the next. The rotating
   // cursor keeps the wake order fair so no parked thread starves; every
   // claim ends in a tick, so the chain cannot stall.
-  const size_t N = Threads.size();
+  const size_t N = NumThreads;
   if (N == 0)
     return;
   for (size_t I = 0; I != N; ++I) {
     const size_t T = (AnyWakeCursor + I) % N;
-    ThreadState &TS = Threads[T];
+    ThreadState &TS = *Threads[T];
     if (TS.Finished || !TS.Parked || !TS.Enabled)
       continue;
     AnyWakeCursor = (T + 1) % N;
-    if (!TS.Slot->Notified) {
-      TS.Slot->Notified = true;
-      TS.Slot->Cv.notify_one();
+    if (!TS.Notified) {
+      TS.Notified = true;
+      TS.Cv.notify_one();
       ++Stats.TargetedWakeups;
     }
     return;
@@ -758,11 +738,11 @@ void Scheduler::wakeAllParkedLocked() {
   // thread must reconsider its predicate (post-desync free-run lets any
   // of them proceed as they arrive). These sites are off the hot path.
   ++Stats.BroadcastWakeups;
-  for (ThreadState &TS : Threads) {
-    if (TS.Finished || !TS.Parked || TS.Slot->Notified)
+  for (const auto &TS : registered()) {
+    if (TS->Finished || !TS->Parked || TS->Notified)
       continue;
-    TS.Slot->Notified = true;
-    TS.Slot->Cv.notify_one();
+    TS->Notified = true;
+    TS->Cv.notify_one();
   }
 }
 
@@ -776,7 +756,7 @@ void Scheduler::chooseNextLocked() {
     uint64_t Idx = CurTick + QueueSkew;
     if (Idx < ReplayQueue.size()) {
       uint64_t T = ReplayQueue[Idx];
-      if (T >= Threads.size() || Threads[T].Finished) {
+      if (T >= NumThreads || Threads[T]->Finished) {
         const uint64_t Bad = T;
         // Recovery forward search (Resync/Adaptive): scan a bounded
         // window of QUEUE entries for the next one that designates a
@@ -789,7 +769,7 @@ void Scheduler::chooseNextLocked() {
               ReplayQueue.size(), Idx + 1 + Opts.QueueSearchWindow);
           for (uint64_t J = Idx + 1; J < Limit; ++J) {
             const uint64_t C = ReplayQueue[J];
-            if (C >= Threads.size() || Threads[C].Finished)
+            if (C >= NumThreads || Threads[C]->Finished)
               continue;
             const uint64_t Skipped = J - Idx;
             QueueSkew += Skipped;
@@ -861,9 +841,8 @@ void Scheduler::chooseNextLocked() {
           R.Thread = T < InvalidTid ? static_cast<Tid>(T) : InvalidTid;
           R.Expected = formatString(
               "thread %llu runnable", static_cast<unsigned long long>(T));
-          R.Actual = T >= Threads.size()
-                         ? formatString("only %zu threads exist",
-                                        Threads.size())
+          R.Actual = T >= NumThreads
+                         ? formatString("only %u threads exist", NumThreads)
                          : "it has finished";
           hardDesyncLocked(std::move(R));
           return;
@@ -929,7 +908,7 @@ void Scheduler::applyInjectionsLocked() {
   while (ReplaySignalPos < ReplaySignals.size() &&
          ReplaySignals[ReplaySignalPos].Tick <= EffTick) {
     const SignalEntry &E = ReplaySignals[ReplaySignalPos++];
-    if (E.Thread >= Threads.size()) {
+    if (E.Thread >= NumThreads) {
       if (Opts.Recovery != RecoveryMode::Strict) {
         // Skip-with-annotation: a delivery for a thread that never came
         // to exist cannot be satisfied, but dropping one signal record
@@ -951,13 +930,13 @@ void Scheduler::applyInjectionsLocked() {
                                 "tick %llu",
                                 E.Thread, E.Sig,
                                 static_cast<unsigned long long>(E.Tick));
-      R.Actual = formatString("only %zu threads exist", Threads.size());
+      R.Actual = formatString("only %u threads exist", NumThreads);
       hardDesyncLocked(std::move(R));
       return;
     }
-    Threads[E.Thread].DeliverableSignals.push_back(E.Sig);
-    Threads[E.Thread].DeliverableCount.store(
-        static_cast<uint32_t>(Threads[E.Thread].DeliverableSignals.size()),
+    Threads[E.Thread]->DeliverableSignals.push_back(E.Sig);
+    Threads[E.Thread]->DeliverableCount.store(
+        static_cast<uint32_t>(Threads[E.Thread]->DeliverableSignals.size()),
         std::memory_order_release);
     // Replay-side half of the profile SIGNAL identity: the recorded
     // (thread, tick, signo) triple, not the live delivery tick.
@@ -972,7 +951,7 @@ void Scheduler::applyInjectionsLocked() {
     const AsyncEntry &E = ReplayAsync[ReplayAsyncPos++];
     switch (E.Kind) {
     case AsyncEventKind::SignalWakeup:
-      if (E.Thread >= Threads.size()) {
+      if (E.Thread >= NumThreads) {
         if (Opts.Recovery != RecoveryMode::Strict) {
           recordRecoveryLocked(
               RecoveryActionKind::SkipForward, E.Thread, StreamKind::Async,
@@ -990,7 +969,7 @@ void Scheduler::applyInjectionsLocked() {
         R.Expected = formatString(
             "thread %u registered for a wakeup at tick %llu", E.Thread,
             static_cast<unsigned long long>(E.Tick));
-        R.Actual = formatString("only %zu threads exist", Threads.size());
+        R.Actual = formatString("only %u threads exist", NumThreads);
         hardDesyncLocked(std::move(R));
         return;
       }
@@ -1015,12 +994,12 @@ void Scheduler::applyInjectionsLocked() {
 }
 
 void Scheduler::noticeSignalsLocked(Tid Self) {
+  auto &T = *Threads[Self];
   if (Opts.ExecMode == Mode::Replay) {
-    Threads[Self].RawSignals.clear();
-    Threads[Self].RawCount.store(0, std::memory_order_release);
+    T.RawSignals.clear();
+    T.RawCount.store(0, std::memory_order_release);
     return;
   }
-  auto &T = Threads[Self];
   if (T.RawSignals.empty())
     return;
   do {
@@ -1209,15 +1188,15 @@ void Scheduler::hardDesyncLocked(DesyncReport R) {
   // Reset the designation unless a thread is mid-critical-section (its
   // tick() will re-designate through the free-run path).
   bool AnyCritical = false;
-  for (const auto &T : Threads)
-    AnyCritical = AnyCritical || T.InCritical.load(std::memory_order_seq_cst);
+  for (const auto &T : registered())
+    AnyCritical = AnyCritical || T->InCritical.load(std::memory_order_seq_cst);
   if (!AnyCritical)
     Active = AnyTid;
   wakeAllParkedLocked();
 }
 
 void Scheduler::enableForWakeupLocked(Tid T) {
-  auto &TS = Threads[T];
+  auto &TS = *Threads[T];
   if (TS.Finished)
     return;
   ++Stats.SignalWakeups;
@@ -1285,11 +1264,11 @@ bool Scheduler::watchdogNudge() {
   if (PipelineEnabled) {
     FastGrant.exchange(kNoFastGrant, std::memory_order_acq_rel);
     // If a claimant won before the exchange it is already critical and
-    // stores Active itself (FCFS grants) or holds it (concrete grants) —
-    // re-picking here would double-designate. Stand down; InCritical was
-    // raised before the claim CAS, so the RMW above orders this read.
-    for (const ThreadState &TS : Threads)
-      if (TS.InCritical.load(std::memory_order_seq_cst)) {
+    // stores Active itself — re-picking here would double-designate.
+    // Stand down; InCritical was raised before the claim CAS, so the RMW
+    // above orders this read.
+    for (const auto &TS : registered())
+      if (TS->InCritical.load(std::memory_order_seq_cst)) {
         wakeAllParkedLocked();
         return true;
       }
@@ -1381,10 +1360,10 @@ std::optional<Signo> Scheduler::takeDeliverableSignal(Tid Self) {
   // mode. Replay injections are committer-chain writes, so the exact
   // delivery tick replay needs is always visible here.
   if (PipelineEnabled &&
-      Threads[Self].DeliverableCount.load(std::memory_order_acquire) == 0)
+      Threads[Self]->DeliverableCount.load(std::memory_order_acquire) == 0)
     return std::nullopt;
   std::lock_guard<std::mutex> L(Mu);
-  auto &T = Threads[Self];
+  auto &T = *Threads[Self];
   // A retiring thread's degenerate grants never deliver signals: the
   // thread is unwinding, and a handler frame would re-enter user code.
   if (T.RetireThrown || T.HandlerDepth > 0 || T.DeliverableSignals.empty())
@@ -1403,21 +1382,26 @@ std::optional<Signo> Scheduler::takeDeliverableSignal(Tid Self) {
 
 void Scheduler::beginHandler(Tid Self) {
   std::lock_guard<std::mutex> L(Mu);
-  ++Threads[Self].HandlerDepth;
+  ++Threads[Self]->HandlerDepth;
 }
 
 void Scheduler::endHandler(Tid Self) {
   std::lock_guard<std::mutex> L(Mu);
-  assert(Threads[Self].HandlerDepth > 0 && "endHandler without begin");
-  --Threads[Self].HandlerDepth;
+  assert(Threads[Self]->HandlerDepth > 0 && "endHandler without begin");
+  --Threads[Self]->HandlerDepth;
 }
 
 Tid Scheduler::threadNew(Tid Parent) {
   std::lock_guard<std::mutex> L(Mu);
-  assert(Parent < Threads.size() && Threads[Parent].InCritical &&
+  assert(Parent < NumThreads && Threads[Parent]->InCritical &&
          "threadNew must run inside the parent's critical section");
-  const Tid Child = static_cast<Tid>(Threads.size());
-  Threads.emplace_back();
+  if (NumThreads == MaxThreads)
+    fatal("threadNew: thread limit reached: a session hands out at most "
+          "MaxThreads (%u) tids, and tids are never reused",
+          MaxThreads);
+  const Tid Child = NumThreads;
+  Threads[Child] = std::make_unique<ThreadState>();
+  ++NumThreads;
   Strat->onThreadNew(Child, Rng);
   // Attributed to the parent: it owns the critical section, so the tick
   // stamp is stable (the virtual identity depends on that).
@@ -1429,14 +1413,14 @@ Tid Scheduler::threadNew(Tid Parent) {
 
 bool Scheduler::threadFinished(Tid Target) {
   std::lock_guard<std::mutex> L(Mu);
-  assert(Target < Threads.size() && "unknown join target");
-  return Threads[Target].Finished;
+  assert(Target < NumThreads && "unknown join target");
+  return Threads[Target]->Finished;
 }
 
 void Scheduler::threadJoinBlock(Tid Self, Tid Target) {
   std::lock_guard<std::mutex> L(Mu);
-  assert(!Threads[Target].Finished && "joining a finished thread blocks");
-  auto &T = Threads[Self];
+  assert(!Threads[Target]->Finished && "joining a finished thread blocks");
+  auto &T = *Threads[Self];
   T.Enabled = false;
   T.Waiting = WaitKind::Join;
   T.WaitObj = Target;
@@ -1450,13 +1434,13 @@ void Scheduler::threadDelete(Tid Self) {
   if (TSR_UNLIKELY(Trace != nullptr))
     Trace->emit(Self, TraceEventKind::ThreadExit,
                 CurTick.load(std::memory_order_relaxed));
-  auto &T = Threads[Self];
+  auto &T = *Threads[Self];
   T.Finished = true;
   T.Enabled = false;
   // Re-enable every thread blocked joining on us (§3.2: "enabling the
   // parent thread if it is waiting for this thread to finish").
-  for (Tid J = 0, E = static_cast<Tid>(Threads.size()); J != E; ++J) {
-    auto &JS = Threads[J];
+  for (Tid J = 0; J != NumThreads; ++J) {
+    auto &JS = *Threads[J];
     if (!JS.Finished && JS.Waiting == WaitKind::Join && JS.WaitObj == Self) {
       JS.Enabled = true;
       JS.Waiting = WaitKind::None;
@@ -1474,7 +1458,7 @@ void Scheduler::threadDelete(Tid Self) {
 
 void Scheduler::mutexLockFail(Tid Self, uint64_t MutexId) {
   std::lock_guard<std::mutex> L(Mu);
-  auto &T = Threads[Self];
+  auto &T = *Threads[Self];
   T.Enabled = false;
   T.Waiting = WaitKind::Mutex;
   T.WaitObj = MutexId;
@@ -1504,7 +1488,7 @@ void Scheduler::mutexUnlock(Tid Self, uint64_t MutexId) {
   const size_t Idx = Strat->pickWaiter(Waiters, Rng);
   const Tid T = Waiters[Idx];
   Waiters.erase(Waiters.begin() + Idx);
-  auto &TS = Threads[T];
+  auto &TS = *Threads[T];
   assert(TS.Waiting == WaitKind::Mutex && TS.WaitObj == MutexId &&
          "mutex waiter list out of sync");
   TS.Enabled = true;
@@ -1518,7 +1502,7 @@ void Scheduler::mutexUnlock(Tid Self, uint64_t MutexId) {
 
 void Scheduler::condWait(Tid Self, uint64_t CondId, bool Timed) {
   std::lock_guard<std::mutex> L(Mu);
-  auto &T = Threads[Self];
+  auto &T = *Threads[Self];
   T.WokenBySignal = false;
   auto &Waiters = CondWaiters[CondId];
   if (std::find(Waiters.begin(), Waiters.end(), Self) == Waiters.end())
@@ -1542,7 +1526,7 @@ unsigned Scheduler::condSignal(Tid Self, uint64_t CondId) {
   const size_t Idx = Strat->pickWaiter(Waiters, Rng);
   const Tid T = Waiters[Idx];
   Waiters.erase(Waiters.begin() + Idx);
-  auto &TS = Threads[T];
+  auto &TS = *Threads[T];
   TS.WokenBySignal = true;
   if (!TS.Enabled) {
     TS.Enabled = true;
@@ -1569,7 +1553,7 @@ unsigned Scheduler::condBroadcast(Tid Self, uint64_t CondId) {
   const std::vector<Tid> Woke = It->second;
   It->second.clear();
   for (Tid T : Woke) {
-    auto &TS = Threads[T];
+    auto &TS = *Threads[T];
     TS.WokenBySignal = true;
     if (!TS.Enabled) {
       TS.Enabled = true;
@@ -1587,7 +1571,7 @@ unsigned Scheduler::condBroadcast(Tid Self, uint64_t CondId) {
 
 bool Scheduler::condConsumeSignaled(Tid Self, uint64_t CondId) {
   std::lock_guard<std::mutex> L(Mu);
-  auto &T = Threads[Self];
+  auto &T = *Threads[Self];
   if (T.WokenBySignal) {
     T.WokenBySignal = false;
     return true;
@@ -1606,9 +1590,9 @@ void Scheduler::postSignal(Tid Target, Signo S) {
   AsyncSection G(*this);
   if (Opts.ExecMode == Mode::Replay)
     return; // Recorded SIGNAL/ASYNC entries drive delivery instead.
-  if (Target >= Threads.size() || Threads[Target].Finished)
+  if (Target >= NumThreads || Threads[Target]->Finished)
     return;
-  auto &T = Threads[Target];
+  auto &T = *Threads[Target];
   T.RawSignals.push_back(S);
   T.RawCount.store(static_cast<uint32_t>(T.RawSignals.size()),
                    std::memory_order_release);
@@ -1668,39 +1652,42 @@ void Scheduler::livenessPoll() {
   LastLivenessTick = CurTick;
   if (Opts.ExecMode == Mode::Replay || FreeRunFcfs || !Stalled)
     return;
-  const Tid Act = Active.load(std::memory_order_relaxed);
+  Tid Act = Active.load(std::memory_order_relaxed);
   if (Act == AnyTid)
     return; // mutex-side FCFS: grantIfAnyLocked serves the next arrival
   if (Act == InvalidTid) {
-    // Either startup, or an outstanding pipelined FCFS grant whose
-    // claimants are all parked (claim races lost to nobody — e.g. every
-    // enabled thread reached its ParkSlot before the grant published and
-    // the committer's convert raced a benign ABA). Reel the grant back
-    // to the mutex-side FCFS state; a failed CAS means it was claimed
-    // and the stall resolved itself.
+    // Either startup, or a pipelined grant nobody has claimed yet.
     if (!PipelineEnabled)
       return;
     const uint64_t G = FastGrant.load(std::memory_order_seq_cst);
-    if (G == kNoFastGrant || grantTid(G) != AnyTid ||
+    if (G == kNoFastGrant ||
         grantTicket(G) !=
             static_cast<uint32_t>(CurTick.load(std::memory_order_relaxed)))
       return;
-    uint64_t Expected = G;
-    if (FastGrant.compare_exchange_strong(Expected, kNoFastGrant,
-                                          std::memory_order_acq_rel)) {
-      Active.store(AnyTid, std::memory_order_release);
-      wakeAnyLocked();
+    if (grantTid(G) == AnyTid) {
+      // An FCFS grant whose claimants are all parked (claim races lost
+      // to nobody — e.g. every enabled thread parked before the grant
+      // published and the committer's convert raced a benign ABA). Reel
+      // the grant back to the mutex-side FCFS state; a failed CAS means
+      // it was claimed and the stall resolved itself.
+      uint64_t Expected = G;
+      if (FastGrant.compare_exchange_strong(Expected, kNoFastGrant,
+                                            std::memory_order_acq_rel)) {
+        Active.store(AnyTid, std::memory_order_release);
+        wakeAnyLocked();
+      }
+      return;
     }
-    return;
+    Act = grantTid(G); // a concrete grant its owner has not claimed yet
   }
-  const auto &A = Threads[Act];
+  const auto &A = *Threads[Act];
   if (A.InCritical.load(std::memory_order_seq_cst) ||
       A.Parked.load(std::memory_order_seq_cst))
     return; // The designated thread is running or about to run.
   bool OtherParked = false;
-  for (Tid T = 0, E = static_cast<Tid>(Threads.size()); T != E; ++T)
-    if (T != Act && Threads[T].Parked && Threads[T].Enabled &&
-        !Threads[T].Finished) {
+  for (Tid T = 0; T != NumThreads; ++T)
+    if (T != Act && Threads[T]->Parked && Threads[T]->Enabled &&
+        !Threads[T]->Finished) {
       OtherParked = true;
       break;
     }
@@ -1716,7 +1703,7 @@ void Scheduler::livenessPoll() {
     const uint64_t Revoked =
         FastGrant.exchange(kNoFastGrant, std::memory_order_acq_rel);
     if (Revoked == kNoFastGrant &&
-        Threads[Act].InCritical.load(std::memory_order_seq_cst))
+        Threads[Act]->InCritical.load(std::memory_order_seq_cst))
       return; // claimed and running; the stall resolved itself
   }
   recordAsyncLocked(AsyncEventKind::Reschedule, 0);
@@ -1791,8 +1778,8 @@ bool Scheduler::waitLiveParked(uint64_t TimeoutMs) {
     {
       std::lock_guard<std::mutex> L(Mu);
       bool AllParked = true;
-      for (const ThreadState &T : Threads)
-        if (!T.Finished && !T.Parked) {
+      for (const auto &T : registered())
+        if (!T->Finished && !T->Parked) {
           AllParked = false;
           break;
         }
@@ -1863,16 +1850,16 @@ std::string Scheduler::dumpState() {
 
 std::string Scheduler::dumpStateLocked() const {
   std::string Out = formatString(
-      "tick=%llu active=%lld threads=%zu\n",
+      "tick=%llu active=%lld threads=%u\n",
       static_cast<unsigned long long>(CurTick),
       Active == AnyTid ? -2LL
                        : (Active == InvalidTid
                               ? -1LL
                               : static_cast<long long>(Active)),
-      Threads.size());
+      NumThreads);
   static const char *WaitNames[] = {"none", "join", "mutex", "cond"};
-  for (Tid T = 0, E = static_cast<Tid>(Threads.size()); T != E; ++T) {
-    const auto &TS = Threads[T];
+  for (Tid T = 0; T != NumThreads; ++T) {
+    const auto &TS = *Threads[T];
     Out += formatString(
         "  t%u: %s%s%s%s wait=%s obj=%llu\n", T,
         TS.Finished ? "finished" : (TS.Enabled ? "enabled" : "disabled"),
@@ -1885,36 +1872,36 @@ std::string Scheduler::dumpStateLocked() const {
 }
 
 bool Scheduler::isEnabled(Tid T) const {
-  return T < Threads.size() && !Threads[T].Finished && Threads[T].Enabled;
+  return T < NumThreads && !Threads[T]->Finished && Threads[T]->Enabled;
 }
 
 bool Scheduler::isFinished(Tid T) const {
-  return T < Threads.size() && Threads[T].Finished;
+  return T < NumThreads && Threads[T]->Finished;
 }
 
 Tid Scheduler::threadCount() const {
-  return static_cast<Tid>(Threads.size());
+  return NumThreads;
 }
 
 unsigned Scheduler::enabledCountLocked() const {
   unsigned N = 0;
-  for (const auto &T : Threads)
-    if (!T.Finished && T.Enabled)
+  for (const auto &T : registered())
+    if (!T->Finished && T->Enabled)
       ++N;
   return N;
 }
 
 unsigned Scheduler::liveCountLocked() const {
   unsigned N = 0;
-  for (const auto &T : Threads)
-    if (!T.Finished)
+  for (const auto &T : registered())
+    if (!T->Finished)
       ++N;
   return N;
 }
 
 bool Scheduler::allFinishedLocked() const {
-  for (const auto &T : Threads)
-    if (!T.Finished)
+  for (const auto &T : registered())
+    if (!T->Finished)
       return false;
   return true;
 }

@@ -35,6 +35,7 @@
 #include "support/Recovery.h"
 #include "support/Rle.h"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -44,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -438,18 +440,8 @@ public:
   Tid threadCount() const override;
 
 private:
-  /// A thread's private parking place. Heap-allocated behind a
-  /// unique_ptr because Threads reallocates on threadNew while other
-  /// threads are blocked on their slots — the condition variable's
-  /// address must survive the move. Notified is the wake token (guarded
-  /// by Mu): the waiter sleeps until it is set, which absorbs OS-level
-  /// spurious condvar wakeups, making SpuriousWakeups a faithful count of
-  /// protocol-level misdirected wakes.
-  struct ParkSlot {
-    std::condition_variable Cv;
-    bool Notified = false;
-  };
-
+  /// One registered thread's scheduling state. Allocated when its tid is
+  /// handed out and never moved (see Threads).
   struct ThreadState {
     bool Finished = false;
     /// Atomic because tryFastClaim reads its *own* Enabled flag outside
@@ -483,30 +475,12 @@ private:
     /// Mirror of DeliverableSignals.size(): lets takeDeliverableSignal
     /// answer "nothing deliverable" without the scheduler mutex.
     std::atomic<uint32_t> DeliverableCount{0};
-    std::unique_ptr<ParkSlot> Slot = std::make_unique<ParkSlot>();
-
-    // Threads reallocates on threadNew, which runs in the registering
-    // thread's critical section: no fast commit (same thread) and no
-    // gated async (holds Mu) is concurrent, and lock-free readers only
-    // reach ThreadState through a grant acquire that happens-after the
-    // previous critical section. A plain member-wise move is therefore
-    // safe; it exists only because atomics delete the implicit one.
-    ThreadState() = default;
-    ThreadState(ThreadState &&O) noexcept
-        : Finished(O.Finished),
-          Enabled(O.Enabled.load(std::memory_order_relaxed)),
-          Parked(O.Parked.load(std::memory_order_relaxed)),
-          InCritical(O.InCritical.load(std::memory_order_relaxed)),
-          Waiting(O.Waiting), WaitObj(O.WaitObj),
-          WokenBySignal(O.WokenBySignal), RetireThrown(O.RetireThrown),
-          HandlerDepth(O.HandlerDepth),
-          RawSignals(std::move(O.RawSignals)),
-          RawCount(O.RawCount.load(std::memory_order_relaxed)),
-          DeliverableSignals(std::move(O.DeliverableSignals)),
-          DeliverableCount(O.DeliverableCount.load(std::memory_order_relaxed)),
-          Slot(std::move(O.Slot)) {}
-    ThreadState(const ThreadState &) = delete;
-    ThreadState &operator=(const ThreadState &) = delete;
+    /// The thread's private parking place. It sleeps on Cv until the wake
+    /// token Notified (guarded by Mu) is set, which absorbs OS-level
+    /// spurious condvar wakeups, making SpuriousWakeups a faithful count
+    /// of protocol-level misdirected wakes.
+    std::condition_variable Cv;
+    bool Notified = false;
   };
 
   struct SignalEntry {
@@ -536,9 +510,9 @@ private:
   /// (seq_cst load — the parker half of the Dekker pair).
   bool fastGrantMine(Tid Self) const;
   /// Bookkeeping for a CAS-won FCFS (AnyTid) grant — the lock-free twin
-  /// of grantIfAnyLocked: stores Active, tells the strategy, maintains
-  /// the self-grant streak. Returns true when the claimant should yield
-  /// the processor once (single-core fairness, mirrors slowTick).
+  /// of grantIfAnyLocked: tells the strategy and maintains the self-grant
+  /// streak. Returns true when the claimant should yield the processor
+  /// once (single-core fairness, mirrors slowTick).
   bool noteFcfsClaim(Tid Self);
   /// An FCFS grant was published while some thread was parked (it
   /// enqueued after pickNext scanned and parked before the word landed).
@@ -613,7 +587,15 @@ private:
   /// stays off the per-tick hot path.
   std::condition_variable DoneCv;
 
-  std::vector<ThreadState> Threads;
+  /// Slot T holds thread T's state from registration to the scheduler's
+  /// destruction and never moves, so lock-free readers of a registered
+  /// tid never touch freed storage. NumThreads changes only inside a
+  /// critical section under Mu: stable to Mu holders and the commit chain.
+  std::array<std::unique_ptr<ThreadState>, MaxThreads> Threads;
+  Tid NumThreads = 0;
+  std::span<const std::unique_ptr<ThreadState>> registered() const {
+    return {Threads.data(), NumThreads};
+  }
   std::unordered_map<uint64_t, std::vector<Tid>> MutexWaiters;
   std::unordered_map<uint64_t, std::vector<Tid>> CondWaiters;
 
@@ -633,7 +615,9 @@ private:
   //    seq_cst-stores pack(successor, ticket) after every commit write;
   //    a claiming thread's seq_cst load + acq_rel CAS synchronises with
   //    it, carrying the whole committer chain (strategy state, PRNG,
-  //    record streams, CurTick) to the next critical section. The
+  //    record streams, CurTick) to the next critical section. It is the
+  //    only way into that section: the committer leaves Active at
+  //    InvalidTid, and the claimant writes its own tid there. The
   //    seq_cst store also forms a Dekker pair with ThreadState::Parked:
   //    committer stores FastGrant then loads Parked; a parking thread
   //    stores Parked then loads FastGrant — one side always observes the
@@ -646,19 +630,22 @@ private:
   //    and every external entry point (postSignal, liveness poll,
   //    watchdog, desync declarations, stats). Asyncs fetch_add AsyncGate
   //    (seq_cst), spin until CommitBusy == 0, do their work under Mu,
-  //    then fetch_sub (release). The fast committer stores CommitBusy=1
+  //    then fetch_sub (release). The fast committer fetch_adds CommitBusy
   //    (seq_cst), re-checks AsyncGate (seq_cst) and aborts if an async
-  //    announced itself; the release store of CommitBusy=0 pairs with
-  //    the async's acquire spin, handing the commit's writes to the Mu
-  //    domain. RULE: never acquire Mu while holding CommitBusy — an
-  //    async may hold Mu while spinning on CommitBusy.
+  //    announced itself; its release fetch_sub pairs with the async's
+  //    acquire spin, handing the commit's writes to the Mu domain.
+  //    A count: a committer leaves after publishing FastGrant, so its
+  //    successor's commit may already be inside. RULE: never acquire Mu
+  //    while holding CommitBusy — an async may hold Mu while spinning on
+  //    CommitBusy.
   //===--------------------------------------------------------------------===//
 
   /// Designated thread: a tid, AnyTid (first arrival proceeds) or
-  /// InvalidTid (nobody runnable yet). Atomic because the pipelined
-  /// commit writes it without Mu (release, before FastGrant) and wait()
-  /// predicates read it (acquire); slow-path writes still happen under
-  /// Mu.
+  /// InvalidTid (nobody runnable yet, or FastGrant names the successor).
+  /// Mutex designations write it under Mu; the fast commit only stores
+  /// InvalidTid before publishing, and a grant's owner names itself once
+  /// it claims. Atomic because those writes skip Mu and wait()
+  /// predicates read it (acquire).
   std::atomic<Tid> Active{InvalidTid};
 
   /// Global tick counter; ordering contract in the block comment above.
@@ -673,7 +660,7 @@ private:
   /// (queue strategy, empty queue): any enabled arrival may take it,
   /// and because several can race, AnyTid grants are consumed strictly
   /// by CAS (concrete grants may be consumed by observation under Mu).
-  /// While an AnyTid grant is outstanding, Active holds the InvalidTid
+  /// While any grant is outstanding, Active holds the InvalidTid
   /// sentinel: it must match no thread's park predicate, and it must
   /// not be AnyTid, which would open the mutex-side grantIfAnyLocked as
   /// a second grant path for the same tick.
@@ -691,19 +678,15 @@ private:
   /// announced (waiting for or holding Mu).
   std::atomic<uint32_t> AsyncGate{0};
 
-  /// Committer side of the commit gate: nonzero while a fast commit is
-  /// between its gate re-check and its final release.
+  /// Committer side of the commit gate: fast commits between gate entry
+  /// and their final release (see the block comment).
   std::atomic<uint32_t> CommitBusy{0};
 
-  /// Number of threads currently parked (any reason). The post-commit
-  /// wake check reads this counter instead of ThreadState::Parked: once
-  /// a grant is claimable, the successor may already be running
-  /// threadNew, and Threads may reallocate under a lock-free indexed
-  /// read. The counter is a stable member; a nonzero value routes the
-  /// wake through Mu, where the table is stable. Parker half of the
-  /// Dekker pair: fetch_add (seq_cst) before the park predicate loads
-  /// FastGrant; committer half: FastGrant store (seq_cst) before the
-  /// counter load — one side always observes the other.
+  /// Number of threads currently parked (any reason). An FCFS grant
+  /// names no successor whose Parked flag the committer could check, so
+  /// its wake check compares this count against a pre-publish snapshot.
+  /// Dekker pair: the parker fetch_adds (seq_cst) before loading
+  /// FastGrant; the committer stores FastGrant before loading the count.
   std::atomic<uint32_t> ParkedCount{0};
 
   /// TickCommit == Pipelined actually engaged (controlled runs only);

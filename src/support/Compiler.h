@@ -27,12 +27,17 @@
     std::abort();                                                              \
   } while (false)
 
+/// TSR_NO_SANITIZE_THREAD exempts a function's own accesses from TSan: for
+/// the raw accessors of program variables, whose races tsr's detector
+/// reports. Without -fsanitize=thread it changes nothing, inlining included.
 #if defined(__GNUC__) || defined(__clang__)
 #define TSR_LIKELY(X) __builtin_expect(!!(X), 1)
 #define TSR_UNLIKELY(X) __builtin_expect(!!(X), 0)
+#define TSR_NO_SANITIZE_THREAD __attribute__((no_sanitize("thread")))
 #else
 #define TSR_LIKELY(X) (X)
 #define TSR_UNLIKELY(X) (X)
+#define TSR_NO_SANITIZE_THREAD
 #endif
 
 #endif // TSR_SUPPORT_COMPILER_H

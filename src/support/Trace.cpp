@@ -93,14 +93,7 @@ TraceRecorder::Buffer *TraceRecorder::bufferForSlot(size_t Slot) {
 
 void TraceRecorder::emitToSlot(size_t Slot, Tid Thread, TraceEventKind Kind,
                                uint64_t Tick, uint64_t A, uint64_t B) {
-  if (Slot >= MaxBuffers) {
-    // Dropped events must not consume identity-relevant sequence numbers:
-    // a burned Seq would leave a gap that skews the (Tick, Seq) merge
-    // order of the surviving events between a recording and its replay
-    // whenever the two runs drop at different points.
-    OverflowDropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  assert(Slot < MaxBuffers && "trace emission from a tid beyond MaxThreads");
   Buffer &Buf = *bufferForSlot(Slot);
   TraceEvent &E = Buf.Ring[Buf.Next];
   E.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
@@ -133,15 +126,11 @@ void TraceRecorder::emitEngine(TraceEventKind Kind, uint64_t Tick,
 }
 
 uint64_t TraceRecorder::emitted() const {
-  // Live events own the dense range [0, NextSeq); slot-overflow drops
-  // never took a Seq but still count as emitted, keeping the snapshot
-  // invariant Emitted - Dropped == surviving events.
-  return NextSeq.load(std::memory_order_relaxed) +
-         OverflowDropped.load(std::memory_order_relaxed);
+  return NextSeq.load(std::memory_order_relaxed);
 }
 
 uint64_t TraceRecorder::dropped() const {
-  uint64_t N = OverflowDropped.load(std::memory_order_relaxed);
+  uint64_t N = 0;
   for (const auto &Slot : Buffers)
     if (const Buffer *B = Slot.load(std::memory_order_acquire))
       if (B->Written > B->Ring.size())

@@ -131,8 +131,7 @@ struct TraceSnapshot {
   /// Events emitted (including any that were later overwritten).
   uint64_t Emitted = 0;
 
-  /// Events lost: ring overwrites plus events from threads beyond the
-  /// recorder's buffer table.
+  /// Events lost to ring overwrites.
   uint64_t Dropped = 0;
 
   /// The virtual (deterministic) subset, ordered by (Tick, Seq). Two
@@ -189,15 +188,13 @@ private:
   void emitToSlot(size_t Slot, Tid Thread, TraceEventKind Kind,
                   uint64_t Tick, uint64_t A, uint64_t B);
 
-  /// Slot 0 is the engine buffer; slot T+1 belongs to thread T. Threads
-  /// beyond the table (unheard of: tids are dense and small) drop their
-  /// events into OverflowDropped.
-  static constexpr size_t MaxBuffers = 257;
+  /// Slot 0 is the engine buffer; slot T+1 belongs to thread T, so every
+  /// tid the scheduler hands out has a ring.
+  static constexpr size_t MaxBuffers = MaxThreads + 1;
 
   TraceOptions Opts;
   std::atomic<uint64_t> NextSeq{0};
   std::atomic<uint64_t> LastTick{0};
-  std::atomic<uint64_t> OverflowDropped{0};
   std::atomic<Buffer *> Buffers[MaxBuffers];
   uint64_t EpochNs = 0;
 };

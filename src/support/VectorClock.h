@@ -24,6 +24,11 @@ namespace tsr {
 /// Thread identifier. Thread 0 is the controlled main thread.
 using Tid = uint32_t;
 
+/// Capacity of every per-thread table (scheduler, race detector, trace
+/// rings), fixed so entries never move under lock-free readers. Tids are
+/// dense and never reused, so a session registers at most this many.
+inline constexpr Tid MaxThreads = 1024;
+
 /// Sentinel: no thread.
 inline constexpr Tid InvalidTid = ~static_cast<Tid>(0);
 

@@ -293,7 +293,6 @@ TEST(Watchdog, ScriptedLivelockEscalatesWarnNudgeSalvage) {
   SessionConfig C = baseConfig(Mode::Record, clientPolicy());
   C.Flush.Directory = Dir;
   C.Flush.EveryTicks = 4;
-  C.Watchdog.PollMs = 20;
   C.Watchdog.WarnAfterMs = 100;
   C.Watchdog.NudgeAfterMs = 250;
   C.Watchdog.SalvageAfterMs = 500;
@@ -349,7 +348,6 @@ TEST(Watchdog, ScriptedLivelockEscalatesWarnNudgeSalvage) {
 
 TEST(Watchdog, QuietRunNeverFires) {
   SessionConfig C = baseConfig(Mode::Record, clientPolicy());
-  C.Watchdog.PollMs = 10;
   C.Watchdog.WarnAfterMs = 2000;
   C.Watchdog.NudgeAfterMs = 4000;
   C.Watchdog.SalvageAfterMs = 8000;

@@ -12,8 +12,10 @@
 #include "apps/pbzip/Pbzip.h"
 #include "runtime/SessionPool.h"
 #include "runtime/Tsr.h"
+#include "sched/Scheduler.h"
 #include "sched/Strategy.h"
 #include "support/Demo.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -257,6 +259,71 @@ TEST(SchedProtocol, ManyThreadsAllComplete) {
   }
 }
 
+/// One session in which main spawns 64 children one at a time while the
+/// earlier children loop on Atomic::fetchAdd: the thread table grows
+/// (threadNew) while siblings spin on, claim and commit grants without
+/// the scheduler mutex.
+void spawnWhileSiblingsWaitForGrants(SessionConfig C) {
+  constexpr int Children = 64;
+  constexpr int Adds = 24;
+  C.LivenessIntervalMs = 0;
+  Session S(C);
+  uint64_t Sum = 0;
+  RunReport R = S.run([&] {
+    Atomic<uint64_t> Counter(0);
+    std::vector<Thread> Kids;
+    for (int I = 0; I != Children; ++I)
+      Kids.push_back(Thread::spawn([&] {
+        for (int J = 0; J != Adds; ++J)
+          Counter.fetchAdd(1);
+      }));
+    for (Thread &T : Kids)
+      T.join();
+    Sum = Counter.load();
+  });
+  EXPECT_EQ(Sum, uint64_t(Children) * Adds);
+  EXPECT_EQ(R.Desync, DesyncKind::None) << R.DesyncMessage;
+  EXPECT_EQ(R.Sched.SpuriousWakeups, 0u);
+  if (C.Trace.Enabled) {
+    EXPECT_EQ(R.Trace.Dropped, 0u);
+    size_t Starts = 0;
+    for (const TraceEvent &E : R.Trace.Events)
+      Starts += E.Kind == TraceEventKind::ThreadStart;
+    EXPECT_EQ(Starts, size_t(Children) + 1);
+  }
+}
+
+TEST(SchedProtocol, SpawnWhileSiblingsWaitForGrants) {
+  // A few sessions per strategy: the hazard this guards (per-thread state
+  // read lock-free while a spawn registers a new thread) is a timing
+  // window, so one session alone would catch a regression only sometimes
+  // under ThreadSanitizer.
+  for (StrategyKind K : {StrategyKind::Random, StrategyKind::Queue})
+    for (uint64_t Salt = 0; Salt != 4; ++Salt) {
+      SCOPED_TRACE(std::string(strategyName(K)) + " salt " +
+                   std::to_string(Salt));
+      spawnWhileSiblingsWaitForGrants(
+          fixedSeeds(presets::tsan11rec(K), 40 + Salt));
+    }
+  // One traced round: successive committers share the engine trace ring.
+  SessionConfig C = fixedSeeds(presets::tsan11rec(StrategyKind::Random), 44);
+  C.Trace.Enabled = true;
+  spawnWhileSiblingsWaitForGrants(C);
+}
+
+TEST(SchedThreadTable, RefusesTidBeyondMaxThreads) {
+  // Every per-thread table is sized by MaxThreads. The scheduler hands
+  // out the tids, so it refuses the first one past the table, naming the
+  // limit, instead of letting a later table index out of bounds.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Scheduler S(SchedulerOptions(), nullptr, nullptr);
+  ASSERT_EQ(S.addMainThread(), 0u);
+  S.wait(0);
+  for (Tid T = 1; T != MaxThreads; ++T)
+    ASSERT_EQ(S.threadNew(0), T);
+  EXPECT_DEATH(S.threadNew(0), "thread limit reached.*MaxThreads \\(1024\\)");
+}
+
 TEST(SchedProtocol, MutexBlocksUntilUnlock) {
   SessionConfig C = fixedSeeds(presets::tsan11rec(StrategyKind::Queue));
   Session S(C);
@@ -445,7 +512,6 @@ TEST(SchedSignals, SignalToDisabledThreadWakesIt) {
   RunReport R = S.run([&] {
     Mutex M;
     Atomic<int> Blocked(0);
-    Atomic<int> Release(0);
     installSignalHandler(12, [&] { HandlerRan = true; });
     M.lock();
     Thread T = Thread::spawn([&] {
@@ -455,8 +521,12 @@ TEST(SchedSignals, SignalToDisabledThreadWakesIt) {
     });
     while (Blocked.load() == 0) {
     }
-    for (int I = 0; I != 8; ++I)
-      (void)Release.load(); // let the child reach the failed trylock
+    // Let the child reach the failed trylock: poll, one visible op at a
+    // time, until the scheduler has disabled it. A fixed number of ops is
+    // not enough — the child's arrival is OS-timed, and the queue
+    // strategy may run main for up to 16 ticks before a parked waiter.
+    while (S.visibleOp([&](Tid) { return S.sched().isEnabled(T.tid()); })) {
+    }
     raiseSignal(T.tid(), 12); // wakeup + handler, then re-block (§4.5)
     while (!HandlerRan) {
     }

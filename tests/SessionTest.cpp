@@ -99,7 +99,6 @@ TEST(Session, WatchdogKillsHungPrograms) {
   // visible op parks forever on the frozen designation; the session is
   // leaked because that detached thread still references it.
   SessionConfig C = fixedSeeds(SessionConfig());
-  C.Watchdog.PollMs = 10;
   C.Watchdog.WarnAfterMs = 50;
   C.Watchdog.NudgeAfterMs = 100;
   C.Watchdog.SalvageAfterMs = 200;

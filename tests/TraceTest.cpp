@@ -298,29 +298,30 @@ TEST(TraceBuffer, OverflowDropsOldestAndAccounts) {
   EXPECT_EQ(MaxSeq, R.Metrics.counterOr("trace.events", 0) - 1);
 }
 
-TEST(TraceBuffer, SlotOverflowDropsDontBurnSequenceNumbers) {
-  // An event from a thread beyond the buffer table is dropped, but it
-  // must not consume a Seq: a burned number would leave a hole in the
-  // (Tick, Seq) order of the survivors, and record/replay pairs that drop
-  // at different points would then merge their common events differently.
+TEST(TraceBuffer, EveryControlledTidHasARing) {
+  // The ring table covers the whole thread table: the first and the last
+  // tid a session can hand out both keep their events, and the survivors
+  // carry a dense Seq sequence.
   TraceOptions Opts;
   Opts.Enabled = true;
   Opts.WallClock = false;
   TraceRecorder Rec(Opts);
   Rec.emit(0, TraceEventKind::Tick, 1);
-  Rec.emit(512, TraceEventKind::Tick, 2); // slot 513 >= MaxBuffers: dropped
-  Rec.emit(1, TraceEventKind::Tick, 3);
+  Rec.emit(MaxThreads - 1, TraceEventKind::Tick, 2);
+  Rec.emit(0, TraceEventKind::Tick, 3);
   EXPECT_EQ(Rec.emitted(), 3u);
-  EXPECT_EQ(Rec.dropped(), 1u);
+  EXPECT_EQ(Rec.dropped(), 0u);
   const TraceSnapshot Snap = Rec.snapshot();
-  ASSERT_EQ(Snap.Events.size(), 2u);
-  // Survivors keep a dense Seq sequence with no gap where the drop was.
-  EXPECT_EQ(Snap.Events[0].Seq, 0u);
+  ASSERT_EQ(Snap.Events.size(), 3u);
+  for (uint64_t I = 0; I != 3; ++I) {
+    EXPECT_EQ(Snap.Events[I].Seq, I);
+    EXPECT_EQ(Snap.Events[I].Tick, I + 1);
+  }
   EXPECT_EQ(Snap.Events[0].Thread, 0u);
-  EXPECT_EQ(Snap.Events[1].Seq, 1u);
-  EXPECT_EQ(Snap.Events[1].Thread, 1u);
+  EXPECT_EQ(Snap.Events[1].Thread, MaxThreads - 1);
+  EXPECT_EQ(Snap.Events[2].Thread, 0u);
   EXPECT_EQ(Snap.Emitted, 3u);
-  EXPECT_EQ(Snap.Dropped, 1u);
+  EXPECT_EQ(Snap.Dropped, 0u);
 }
 
 //===----------------------------------------------------------------------===//
