@@ -157,8 +157,10 @@ SimEnv::FdEntry *SimEnv::entry(int Fd) {
 VTime SimEnv::localNow(Tid T) { return Cost.localTime(T); }
 
 VTime SimEnv::latency() {
-  return Opts.BaseLatencyNs +
-         (Opts.JitterNs ? Rng.nextBelow(Opts.JitterNs) : 0);
+  // One-way network latency and jitter bound: LAN scale.
+  constexpr VTime BaseLatencyNs = 60000;
+  constexpr VTime JitterNs = 40000;
+  return BaseLatencyNs + Rng.nextBelow(JitterNs);
 }
 
 SyscallResult SimEnv::sysSocket(Tid) {
@@ -612,7 +614,8 @@ SyscallResult SimEnv::sysWrite(Tid T, int Fd, const void *Data, size_t Len) {
       return R;
     }
     Message M;
-    M.ArriveAt = localNow(T) + Opts.PipeLatencyNs;
+    constexpr VTime PipeLatencyNs = 2000;
+    M.ArriveAt = localNow(T) + PipeLatencyNs;
     if (!Pipe->Buffer.empty())
       M.ArriveAt = std::max(M.ArriveAt, Pipe->Buffer.back().ArriveAt);
     M.Data.assign(P, P + Len);

@@ -146,12 +146,6 @@ public:
     /// tests that need a reproducible world).
     uint64_t Seed0 = 0;
     uint64_t Seed1 = 0;
-    /// One-way network latency and jitter bounds (virtual ns); LAN
-    /// scale by default.
-    VTime BaseLatencyNs = 60000;
-    VTime JitterNs = 40000;
-    /// Pipe transfer latency.
-    VTime PipeLatencyNs = 2000;
   };
 
   SimEnv(CostModel &Cost, Options Opts);
@@ -272,6 +266,7 @@ private:
   int allocFd(FdClass Class, size_t Index, bool ReadEnd = false);
   FdEntry *entry(int Fd);
   VTime localNow(Tid T);
+  /// Draws one network message's one-way latency (virtual ns).
   VTime latency();
   void deliverToPeer(Connection &C, VTime At,
                      const std::vector<uint8_t> &Data);

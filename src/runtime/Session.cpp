@@ -9,7 +9,6 @@
 
 #include "support/Compiler.h"
 #include "support/Diag.h"
-#include "support/Rle.h"
 
 #include <algorithm>
 #include <atomic>
@@ -104,13 +103,12 @@ thread_local ThreadRegistry::Slot TlsSlot;
         static_cast<unsigned>(TlsSlot.T));
 }
 
-// Fatal-signal emergency flush (RecordFlushPolicy::OnFatalSignal). The
-// handlers are process-wide, so they are installed exactly once — by
-// whichever registration takes the live count from zero — and every live
-// session with the flag occupies a slot in this registry. The first
-// fatal signal dispatches one best-effort flush to all of them, then
-// restores the default disposition and re-raises so the process still
-// dies with the original signal.
+// Fatal-signal emergency flush. The handlers are process-wide, so they
+// are installed exactly once — by whichever registration takes the live
+// count from zero — and every session with a live writer occupies a slot
+// in this registry. The first fatal signal dispatches one best-effort
+// flush to all of them, then restores the default disposition and
+// re-raises so the process still dies with the original signal.
 constexpr size_t MaxEmergencySessions = 4096;
 std::atomic<Session *> EmergencySessions[MaxEmergencySessions];
 std::atomic<bool> EmergencyRan{false};
@@ -285,54 +283,51 @@ Session::~Session() {
 }
 
 void Session::writeMeta() {
+  MetaRecord M;
+  M.FormatVersion = Demo::FormatVersion;
+  M.Strategy = static_cast<uint8_t>(Config.Strategy);
+  M.Controlled = Config.Controlled;
+  M.WeakMemory = Config.WeakMemory;
+  M.Seed0 = UsedSeed0;
+  M.Seed1 = UsedSeed1;
+  M.PolicyHash = Config.Policy.hash();
+  // Informational: the faults themselves live in the SYSCALL stream, so
+  // replay needs no plan — but tools and humans deserve to know.
+  M.FaultPlanHash = Config.Faults.hash();
   ByteWriter W;
-  W.writeString("tsrdemo");
-  W.writeVarU64(Demo::FormatVersion);
-  W.writeByte(static_cast<uint8_t>(Config.Strategy));
-  W.writeByte(Config.Controlled ? 1 : 0);
-  W.writeByte(Config.WeakMemory ? 1 : 0);
-  W.writeVarU64(UsedSeed0);
-  W.writeVarU64(UsedSeed1);
-  W.writeVarU64(Config.Policy.hash());
-  // Informational: nonzero marks a demo recorded under fault injection
-  // (the faults themselves live in the SYSCALL stream, so replay needs no
-  // plan — but tools and humans deserve to know).
-  W.writeVarU64(Config.Faults.hash());
+  encodeMeta(W, M);
   RecordDemo.setStream(StreamKind::Meta, W.take());
 }
 
 bool Session::checkMeta(std::string &Error) {
-  ByteReader R = Config.ReplayDemo->reader(StreamKind::Meta);
-  std::string Magic;
-  uint64_t Version, S0, S1, PolicyHash, FaultHash;
-  uint8_t Strategy, Controlled, WeakMemory;
-  if (!R.readString(Magic) || Magic != "tsrdemo") {
+  MetaRecord M;
+  const MetaField Stop =
+      decodeMeta(Config.ReplayDemo->stream(StreamKind::Meta), M);
+  if (Stop == MetaField::Magic) {
     Error = "demo META missing or not a tsr demo";
     return false;
   }
-  if (!R.readVarU64(Version) || Version != Demo::FormatVersion) {
+  if (Stop == MetaField::Version || M.FormatVersion != Demo::FormatVersion) {
     Error = "demo format version mismatch";
     return false;
   }
-  if (!R.readByte(Strategy) || !R.readByte(Controlled) ||
-      !R.readByte(WeakMemory) || !R.readVarU64(S0) || !R.readVarU64(S1) ||
-      !R.readVarU64(PolicyHash) || !R.readVarU64(FaultHash)) {
+  if (Stop != MetaField::End) {
     Error = "truncated demo META";
     return false;
   }
-  if (Strategy != static_cast<uint8_t>(Config.Strategy))
+  if (M.Strategy != static_cast<uint8_t>(Config.Strategy))
     Error = formatString("demo was recorded with strategy '%s'",
-                         strategyName(static_cast<StrategyKind>(Strategy)));
-  else if ((Controlled != 0) != Config.Controlled)
+                         strategyName(static_cast<StrategyKind>(M.Strategy)));
+  else if (M.Controlled != Config.Controlled)
     Error = "demo controlled-scheduling flag differs from configuration";
-  else if ((WeakMemory != 0) != Config.WeakMemory)
+  else if (M.WeakMemory != Config.WeakMemory)
     Error = "demo weak-memory flag differs from configuration";
-  else if (PolicyHash != Config.Policy.hash())
+  else if (M.PolicyHash != Config.Policy.hash())
     Error = "demo was recorded under a different syscall recording policy";
   if (!Error.empty())
     return false;
-  UsedSeed0 = S0;
-  UsedSeed1 = S1;
+  UsedSeed0 = M.Seed0;
+  UsedSeed1 = M.Seed1;
   return true;
 }
 
@@ -385,8 +380,7 @@ RunReport Session::run(std::function<void()> MainFn) {
         LiveWriter.appendChunk(StreamKind::Meta, Meta.data(), Meta.size(),
                                /*Frontier=*/0);
         LiveWriter.closeStream(StreamKind::Meta);
-        if (Config.Flush.OnFatalSignal)
-          EmergencyRegistered = registerEmergencySession(this);
+        EmergencyRegistered = registerEmergencySession(this);
       }
     }
   }
@@ -399,7 +393,6 @@ RunReport Session::run(std::function<void()> MainFn) {
   SO.Seed1 = UsedSeed1;
   SO.Controlled = Config.Controlled;
   SO.TickCommit = Config.TickCommit;
-  SO.AbortOnHardDesync = Config.AbortOnHardDesync;
   SO.AbortOnDeadlock = Config.AbortOnDeadlock;
   SO.ReplayTruncated = Config.ExecMode == Mode::Replay &&
                        Config.ReplayDemo && Config.ReplayDemo->truncated();
@@ -408,15 +401,12 @@ RunReport Session::run(std::function<void()> MainFn) {
   // Recovery applies to replay only: there is nothing to resynchronise
   // against in Free/Record mode. The log itself is shared in all modes
   // (the watchdog and retry sites write to it too).
-  Recoveries.setLimit(Config.Recovery.MaxActions);
   SO.Recovery = Config.ExecMode == Mode::Replay ? Config.Recovery.Mode
                                                 : RecoveryMode::Strict;
-  SO.QueueSearchWindow = Config.Recovery.QueueSearchWindow;
   SO.RecoveryActions = &Recoveries;
   if (LiveWriter.isOpen()) {
     SO.LiveWriter = &LiveWriter;
     SO.FlushEveryTicks = Config.Flush.EveryTicks;
-    SO.FlushEveryBytes = Config.Flush.EveryBytes;
     SO.SyscallFlushHook = [this](uint64_t Tick, bool Final) {
       drainSyscallStream(Tick, Final);
     };
@@ -587,9 +577,10 @@ RunReport Session::run(std::function<void()> MainFn) {
     R.Trace = Tracer->snapshot();
     // A desync report carries the virtual-time context around its tick:
     // what every thread was doing when replay diverged.
+    constexpr unsigned DesyncContextTicks = 8;
     if (R.DesyncInfo.Kind != DesyncKind::None)
       R.DesyncInfo.Timeline = excerptAround(R.Trace, R.DesyncInfo.Tick,
-                                            Config.Trace.DesyncContext);
+                                            DesyncContextTicks);
     if (!Config.Trace.ExportChromePath.empty()) {
       // A profiled run layers counter tracks and critical-path flow
       // arrows over the trace slices.
@@ -802,14 +793,11 @@ void Session::superviseRun() {
   Clock::time_point NextWatchdog = Clock::now() + Millis(LadderPeriodMs);
 
   // The ladder escalates warn -> nudge -> salvage while the tick frontier
-  // stays frozen. Each rung fires at its wall-clock deadline, or earlier
-  // when the virtual makespan grows by StallVirtualNs x {1,2,4} with no
-  // tick (a run burning virtual time in invisible code). A mid-run trace
+  // stays frozen, each rung at its wall-clock deadline. A mid-run trace
   // snapshot is forbidden (TraceRecorder requires the emitting threads
   // joined), so the warn rung emits the scheduler state dump; the final
   // report still carries the trace excerpt around the salvage tick.
   uint64_t LastTick = ~0ull;
-  VTime VirtualBase = 0;
   Clock::time_point LastChange = Clock::now();
   unsigned Rung = 0;
   while (!Sched->waitAllFinished(std::min(NextLiveness, NextWatchdog))) {
@@ -825,21 +813,13 @@ void Session::superviseRun() {
     if (Tick != LastTick) {
       LastTick = Tick;
       LastChange = Now;
-      VirtualBase = Cost->makespan();
       Rung = 0;
       continue;
     }
     const uint64_t StalledMs = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(Now - LastChange)
             .count());
-    const VTime VirtualGrowth = Cost->makespan() - VirtualBase;
-    const auto Due = [&](uint64_t WallMs, unsigned Mult) {
-      if (StalledMs >= WallMs)
-        return true;
-      return Config.Watchdog.StallVirtualNs != 0 &&
-             VirtualGrowth >= Config.Watchdog.StallVirtualNs * Mult;
-    };
-    if (Rung == 0 && Due(Config.Watchdog.WarnAfterMs, 1)) {
+    if (Rung == 0 && StalledMs >= Config.Watchdog.WarnAfterMs) {
       Rung = 1;
       const SchedulerStats S = Sched->statsSnapshot();
       warn("watchdog: tick frontier frozen at %llu for %llu ms "
@@ -852,14 +832,14 @@ void Session::superviseRun() {
       Recoveries.record({RecoveryActionKind::WatchdogWarn, Tick, InvalidTid,
                          StreamKind::Meta, StalledMs, "tick frontier frozen"});
     }
-    if (Rung == 1 && Due(Config.Watchdog.NudgeAfterMs, 2)) {
+    if (Rung == 1 && StalledMs >= Config.Watchdog.NudgeAfterMs) {
       Rung = 2;
       if (Sched->watchdogNudge())
         Recoveries.record({RecoveryActionKind::WatchdogNudge, Tick,
                            InvalidTid, StreamKind::Meta, StalledMs,
                            "forced strategy decision / broadcast wake"});
     }
-    if (Rung == 2 && Due(Config.Watchdog.SalvageAfterMs, 4)) {
+    if (Rung == 2 && StalledMs >= Config.Watchdog.SalvageAfterMs) {
       Rung = 3;
       const std::string Why = formatString(
           "watchdog: no tick for %llu ms despite warn and nudge",
@@ -980,6 +960,9 @@ DesyncReport Session::syscallDesyncReport(DesyncReason Reason,
 
 SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
                                      bool &IssueNative) {
+  // Forward-search window of Resync and Adaptive, in whole records.
+  constexpr uint32_t SyscallSearchWindow = 8;
+  constexpr uint64_t NumKinds = static_cast<uint64_t>(SyscallKind::NumKinds);
   IssueNative = false;
   const RecoveryMode RMode = Config.Recovery.Mode;
   // Per-thread divergence state (adaptive). Accessed only inside the
@@ -1008,9 +991,8 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
     return SyscallResult();
   }
   const size_t RecordStart = SyscallReader.position();
-  uint64_t K;
-  if (!SyscallReader.readVarU64(K) ||
-      K >= static_cast<uint64_t>(SyscallKind::NumKinds)) {
+  SyscallRecord Rec;
+  if (!decodeSyscallKind(SyscallReader, Rec) || Rec.Kind >= NumKinds) {
     if (RMode == RecoveryMode::Adaptive) {
       // The stream is undecodable from here: record boundaries are lost,
       // so no forward scan can help. Stop consuming it and synthesize
@@ -1042,46 +1024,34 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
     IssueNative = true; // Hard desync: the run finishes uncontrolled.
     return SyscallResult();
   }
-  if (K != static_cast<uint64_t>(Kind)) {
+  if (Rec.Kind != static_cast<uint64_t>(Kind)) {
+    const SyscallKind Recorded = static_cast<SyscallKind>(Rec.Kind);
     // Bounded forward search (Resync/Adaptive): the thread may have
     // skipped a few recorded calls (an under-recording policy, a dropped
     // branch); if its expected kind appears within the window, skip the
     // mismatched records with annotation and re-lock onto the script.
     if (RMode != RecoveryMode::Strict) {
-      const uint64_t BadK = K;
       uint64_t Skipped = 0;
       bool Matched = false;
       SyscallResult R;
-      uint64_t ScanK = K;
-      while (Skipped < Config.Recovery.SyscallSearchWindow) {
-        // Skip the current (mismatched) record's body.
-        int64_t SkipRet;
-        uint64_t SkipErr;
-        std::vector<uint8_t> SkipBuf;
-        if (!SyscallReader.readVarI64(SkipRet) ||
-            !SyscallReader.readVarU64(SkipErr) ||
-            !rle::decodeBytes(SyscallReader, SkipBuf))
-          break;
+      SyscallRecord Scan = Rec;
+      std::vector<uint8_t> SkipBuf;
+      // Each pass skips the current (mismatched) record's body and reads
+      // the next record's kind.
+      while (Skipped < SyscallSearchWindow &&
+             decodeSyscallBody(SyscallReader, Scan, SkipBuf)) {
         ++Skipped;
-        if (SyscallReader.atEnd())
+        if (SyscallReader.atEnd() ||
+            !decodeSyscallKind(SyscallReader, Scan) || Scan.Kind >= NumKinds)
           break;
-        if (!SyscallReader.readVarU64(ScanK) ||
-            ScanK >= static_cast<uint64_t>(SyscallKind::NumKinds))
-          break;
-        if (ScanK != static_cast<uint64_t>(Kind))
+        if (Scan.Kind != static_cast<uint64_t>(Kind))
           continue;
-        int64_t Ret;
-        uint64_t Err;
-        if (!SyscallReader.readVarI64(Ret) ||
-            !SyscallReader.readVarU64(Err) ||
-            !rle::decodeBytes(SyscallReader, R.OutBuf))
-          break;
-        R.Ret = Ret;
-        R.Err = static_cast<int>(Err);
-        Matched = true;
+        Matched = decodeSyscallBody(SyscallReader, Scan, R.OutBuf);
         break;
       }
       if (Matched) {
+        R.Ret = Scan.Ret;
+        R.Err = static_cast<int>(Scan.Err);
         SyscallDivergenceStreak[Self] = 0;
         Recoveries.record(
             {RecoveryActionKind::SkipForward, Sched->currentTickRelaxed(),
@@ -1090,7 +1060,7 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
                           "to re-lock on '%s'",
                           static_cast<unsigned long long>(Skipped),
                           Skipped == 1 ? "" : "s",
-                          syscallKindName(static_cast<SyscallKind>(BadK)),
+                          syscallKindName(Recorded),
                           syscallKindName(Kind))});
         return R;
       }
@@ -1114,7 +1084,7 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
               syscallDesyncReport(DesyncReason::SyscallKindMismatch, Self);
           D.Expected = formatString(
               "'%s' (next recorded call, at stream offset %zu)",
-              syscallKindName(static_cast<SyscallKind>(BadK)), RecordStart);
+              syscallKindName(Recorded), RecordStart);
           D.Actual = formatString(
               "thread %u persistently diverged (issued '%s' %u times "
               "against the script); degrading it to free-run",
@@ -1126,9 +1096,8 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
                Sched->currentTickRelaxed(), Self, StreamKind::Syscall, 1,
                formatString("no '%s' within %u records (next recorded is "
                             "'%s'); synthesizing from the live environment",
-                            syscallKindName(Kind),
-                            Config.Recovery.SyscallSearchWindow,
-                            syscallKindName(static_cast<SyscallKind>(BadK)))});
+                            syscallKindName(Kind), SyscallSearchWindow,
+                            syscallKindName(Recorded))});
         }
         IssueNative = true;
         return SyscallResult();
@@ -1139,17 +1108,14 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
         syscallDesyncReport(DesyncReason::SyscallKindMismatch, Self);
     D.Expected = formatString(
         "'%s' (next recorded call, at stream offset %zu)",
-        syscallKindName(static_cast<SyscallKind>(K)), RecordStart);
+        syscallKindName(Recorded), RecordStart);
     D.Actual = formatString("the program issued '%s'", syscallKindName(Kind));
     Sched->declareDesync(std::move(D));
     IssueNative = true; // Hard desync: the run finishes uncontrolled.
     return SyscallResult();
   }
   SyscallResult R;
-  int64_t Ret;
-  uint64_t Err;
-  if (!SyscallReader.readVarI64(Ret) || !SyscallReader.readVarU64(Err) ||
-      !rle::decodeBytes(SyscallReader, R.OutBuf)) {
+  if (!decodeSyscallBody(SyscallReader, Rec, R.OutBuf)) {
     if (Config.ReplayDemo->truncated() ||
         RMode == RecoveryMode::Adaptive) {
       // A salvaged recording may end mid-record; that is truncation, not
@@ -1188,18 +1154,16 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
     IssueNative = true; // Hard desync: the run finishes uncontrolled.
     return SyscallResult();
   }
-  R.Ret = Ret;
-  R.Err = static_cast<int>(Err);
+  R.Ret = Rec.Ret;
+  R.Err = static_cast<int>(Rec.Err);
   SyscallDivergenceStreak[Self] = 0;
   return R;
 }
 
-void Session::recordSyscall(SyscallKind Kind, const SyscallResult &R) {
+void Session::recordSyscall(const SyscallRecord &Rec,
+                            const std::vector<uint8_t> &OutBuf) {
   std::lock_guard<std::mutex> L(SyscallStreamMu);
-  SyscallBytes.writeVarU64(static_cast<uint64_t>(Kind));
-  SyscallBytes.writeVarI64(R.Ret);
-  SyscallBytes.writeVarU64(static_cast<uint64_t>(R.Err));
-  rle::encodeBytes(SyscallBytes, R.OutBuf);
+  encodeSyscall(SyscallBytes, Rec, OutBuf);
 }
 
 void Session::drainSyscallStream(uint64_t Tick, bool Final) {
@@ -1277,9 +1241,8 @@ SyscallResult Session::doSyscall(SyscallKind Kind, FdClass Class,
             // Replay half of the profile SYSCALL identity: the values
             // came from the stream, so they equal the recorded ones.
             if (TSR_UNLIKELY(Prof != nullptr))
-              Prof->onSyscall(static_cast<uint64_t>(Kind), R.Ret,
-                              static_cast<uint64_t>(
-                                  static_cast<uint16_t>(R.Err)));
+              Prof->onSyscall({static_cast<uint64_t>(Kind), R.Ret,
+                               static_cast<uint64_t>(R.Err)});
             return Finish(R, false);
           }
           // Exhausted (one soft resync: the recording simply ended
@@ -1312,17 +1275,16 @@ SyscallResult Session::doSyscall(SyscallKind Kind, FdClass Class,
           // reproduces exactly under the same seeds. Only the final
           // result is recorded, so replay of a recordable call never
           // re-runs the loop.
+          constexpr VTime BaseDelayNs = 100000;
+          constexpr VTime MaxDelayNs = 10000000;
+          constexpr VTime JitterNs = 50000;
           const unsigned Shift = Attempt - 1 < 20 ? Attempt - 1 : 20;
-          VTime Delay = Config.Retry.BaseDelayNs << Shift;
-          if (Delay > Config.Retry.MaxDelayNs)
-            Delay = Config.Retry.MaxDelayNs;
-          if (Config.Retry.JitterNs) {
-            Prng Jitter(UsedSeed0 ^ ((static_cast<uint64_t>(Kind) + 1) *
-                                     0x9E3779B97F4A7C15ull),
-                        UsedSeed1 ^ ((Sched->currentTickRelaxed() << 8) |
-                                     Attempt));
-            Delay += Jitter.nextBelow(Config.Retry.JitterNs);
-          }
+          VTime Delay = std::min(BaseDelayNs << Shift, MaxDelayNs);
+          Prng Jitter(UsedSeed0 ^ ((static_cast<uint64_t>(Kind) + 1) *
+                                   0x9E3779B97F4A7C15ull),
+                      UsedSeed1 ^ ((Sched->currentTickRelaxed() << 8) |
+                                   Attempt));
+          Delay += Jitter.nextBelow(JitterNs);
           Cost->advance(Self, Delay);
           Recoveries.record(
               {RecoveryActionKind::RetryBackoff,
@@ -1334,16 +1296,16 @@ SyscallResult Session::doSyscall(SyscallKind Kind, FdClass Class,
                             static_cast<unsigned long long>(Delay))});
         }
         if (Config.ExecMode == Mode::Record && Recordable) {
-          recordSyscall(Kind, R);
+          const SyscallRecord Rec{static_cast<uint64_t>(Kind), R.Ret,
+                                  static_cast<uint64_t>(R.Err)};
+          recordSyscall(Rec, R.OutBuf);
           SyscallsRecorded.fetch_add(1);
           // Record half of the profile SYSCALL identity: exactly the
-          // calls that land in the stream, with the recorded values.
-          // Injected faults are indistinguishable from genuine errors
-          // here by design — the Injected flag is record-only state.
+          // records that land in the stream. Injected faults are
+          // indistinguishable from genuine errors here by design — the
+          // Injected flag is record-only state.
           if (TSR_UNLIKELY(Prof != nullptr))
-            Prof->onSyscall(static_cast<uint64_t>(Kind), R.Ret,
-                            static_cast<uint64_t>(
-                                static_cast<uint16_t>(R.Err)));
+            Prof->onSyscall(Rec);
         }
         return Finish(R, Faulted);
       },

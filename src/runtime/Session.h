@@ -76,19 +76,13 @@ struct RecordFlushPolicy {
   /// either way).
   std::string Directory;
 
-  /// Flush every N scheduler ticks (0 disables the tick trigger).
+  /// Flush every N scheduler ticks (0 flushes only at the end of the
+  /// run). A session with a live writer also registers for the
+  /// fatal-signal flush: process-wide handlers (SIGABRT/SIGSEGV/SIGBUS/
+  /// SIGILL/SIGFPE), installed once, perform one best-effort
+  /// async-signal-safe flush of every registered session before the
+  /// process dies, then re-raise with the default disposition.
   uint64_t EveryTicks = 64;
-
-  /// Flush once the unflushed record bytes exceed N (0 disables).
-  uint64_t EveryBytes = 0;
-
-  /// Install fatal-signal handlers (SIGABRT/SIGSEGV/SIGBUS/SIGILL/SIGFPE)
-  /// that perform one best-effort async-signal-safe flush before the
-  /// process dies, then re-raise with the default disposition. Handlers
-  /// are process-wide but installed once: every live session with this
-  /// flag registers in a shared registry, and the first fatal signal
-  /// dispatches the flush to all of them.
-  bool OnFatalSignal = true;
 
   /// Shared multi-session writer backend (SessionPool wires this; null
   /// keeps the session's own synchronous writer). The streams still land
@@ -109,19 +103,14 @@ struct WatchdogPolicy {
   uint32_t WarnAfterMs = 5000;
   uint32_t NudgeAfterMs = 10000;
   uint32_t SalvageAfterMs = 20000;
-
-  /// Virtual-time stall criterion (0 disables): a rung also fires when
-  /// the virtual makespan grows by this many ns x {1,2,4} while the tick
-  /// frontier is frozen — catching runs that burn virtual time in
-  /// invisible code without ever reaching a visible op.
-  uint64_t StallVirtualNs = 0;
 };
 
 /// Deterministic retry/backoff for transient virtual errors (VEINTR,
 /// VEAGAIN — typically FaultPlan-injected). Retries happen on the native
 /// issue path and only the final result is recorded, so a demo recorded
 /// under retry replays bit-identically; backoff advances virtual time
-/// only (seeded jitter, no wall-clock sleeping).
+/// only: 100 us << (attempt-1), capped at 10 ms, plus a seeded jitter
+/// draw below 50 us — no wall-clock sleeping.
 struct RetryPolicy {
   /// Off by default: programs that assert on observing EINTR/EAGAIN
   /// (fault-injection tests) keep seeing them.
@@ -129,12 +118,6 @@ struct RetryPolicy {
 
   /// Total attempts including the first issue.
   uint32_t MaxAttempts = 4;
-
-  /// Exponential backoff: BaseDelayNs << (attempt-1), capped at
-  /// MaxDelayNs, plus a seeded jitter draw below JitterNs.
-  uint64_t BaseDelayNs = 100000;
-  uint64_t MaxDelayNs = 10000000;
-  uint64_t JitterNs = 50000;
 
   /// Also resume short transfers: a send/write that moved fewer bytes
   /// than asked continues from the offset reached (each continuation is
@@ -158,7 +141,7 @@ struct RecoveryOutcome {
   uint64_t WatchdogSalvages = 0;
 
   /// The full ordered action timeline (bounded by
-  /// RecoveryPolicy::MaxActions).
+  /// RecoveryLog::MaxActions).
   std::vector<RecoveryAction> Actions;
 };
 
@@ -226,9 +209,6 @@ struct SessionConfig {
   /// Liveness rescheduler (§3.3): force a reschedule if the designated
   /// thread makes no progress for this long. Zero disables.
   uint32_t LivenessIntervalMs = 25;
-
-  /// Abort the process on hard desync instead of free-running.
-  bool AbortOnHardDesync = false;
 
   /// Abort the process when every live thread is disabled (the legacy
   /// fatal()). The default is a salvaging shutdown: the live recording is
@@ -519,7 +499,8 @@ private:
   /// run decision); the returned result is only meaningful when it stays
   /// false.
   SyscallResult replaySyscall(SyscallKind Kind, Tid Self, bool &IssueNative);
-  void recordSyscall(SyscallKind Kind, const SyscallResult &R);
+  void recordSyscall(const SyscallRecord &Rec,
+                     const std::vector<uint8_t> &OutBuf);
   void drainSyscallStream(uint64_t Tick, bool Final);
   /// Emits one telemetry frame when the tick cadence has elapsed (called
   /// from leaveCritical outside the scheduler lock) or the final frame.

@@ -92,7 +92,6 @@ PoolSessionResult SessionPool::runOne(PoolSessionSpec &&Spec, size_t Index,
   if (!Opts.DemoRoot.empty() && Cfg.ExecMode == Mode::Record) {
     Cfg.Flush.Directory = Opts.DemoRoot + "/" + Spec.Name;
     Cfg.Flush.EveryTicks = Opts.FlushEveryTicks;
-    Cfg.Flush.OnFatalSignal = Opts.OnFatalSignal;
     Cfg.Flush.Backend = &Backend;
   } else if (!Cfg.Flush.Directory.empty() && Cfg.ExecMode == Mode::Record) {
     // A spec that brings its own flush directory still shares the pool's

@@ -118,11 +118,9 @@ public:
     /// Flush.Directory is still routed through the shared backend).
     std::string DemoRoot;
 
-    /// Flush cadence applied to DemoRoot recordings.
+    /// Flush cadence applied to DemoRoot recordings. Every recording
+    /// with a live writer registers for the fatal-signal fleet flush.
     uint64_t FlushEveryTicks = 64;
-
-    /// Register DemoRoot recordings for the fatal-signal fleet flush.
-    bool OnFatalSignal = true;
 
     /// How long to wait for a salvaged session's stragglers to retire
     /// before parking it as a zombie.

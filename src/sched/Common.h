@@ -53,12 +53,6 @@ enum class WaitKind : unsigned {
   Cond,  ///< CondWait(c): waiting for a signal or broadcast.
 };
 
-/// Kinds of asynchronous events stored in the ASYNC demo stream (§4.5).
-enum class AsyncEventKind : unsigned {
-  Reschedule = 0,   ///< Liveness rescheduling fired (§3.3).
-  SignalWakeup = 1, ///< A disabled thread was re-enabled by a signal.
-};
-
 /// Virtual signal numbers. Values mirror POSIX for readability but carry no
 /// OS meaning; delivery is entirely within the session.
 using Signo = int;

@@ -62,6 +62,9 @@ constexpr unsigned kFcfsBypassMin = 9;
 constexpr unsigned kFcfsBypassMax = 16;
 static_assert(kFcfsBypassMin < kFcfsBypassMax,
               "burst cycle needs a non-empty range");
+
+/// Recovery forward-search window in QUEUE entries (Resync/Adaptive).
+constexpr uint32_t kQueueSearchWindow = 64;
 } // namespace
 
 Scheduler::Scheduler(const SchedulerOptions &Opts, Demo *RecordDemo,
@@ -94,32 +97,13 @@ void Scheduler::parseReplayStreams(const Demo &D) {
       ReplayQueue.push_back(V);
   }
   // SIGNAL: (tid, tick, signo) records (§4.3).
-  {
-    ByteReader R = D.reader(StreamKind::Signal);
-    while (!R.atEnd()) {
-      uint64_t T, K, S;
-      if (!R.readVarU64(T) || !R.readVarU64(K) || !R.readVarU64(S)) {
-        warn("truncated SIGNAL stream; ignoring tail");
-        break;
-      }
-      ReplaySignals.push_back(
-          {K, static_cast<Tid>(T), static_cast<Signo>(S)});
-    }
-  }
+  if (decodeSignals(D.stream(StreamKind::Signal), ReplaySignals) !=
+      D.streamSize(StreamKind::Signal))
+    warn("truncated SIGNAL stream; ignoring tail");
   // ASYNC: (tick, kind, tid) events (§4.5).
-  {
-    ByteReader R = D.reader(StreamKind::Async);
-    while (!R.atEnd()) {
-      uint64_t K, T;
-      uint8_t Kind;
-      if (!R.readVarU64(K) || !R.readByte(Kind) || !R.readVarU64(T)) {
-        warn("truncated ASYNC stream; ignoring tail");
-        break;
-      }
-      ReplayAsync.push_back(
-          {K, static_cast<AsyncEventKind>(Kind), static_cast<Tid>(T)});
-    }
-  }
+  if (decodeAsyncs(D.stream(StreamKind::Async), ReplayAsync) !=
+      D.streamSize(StreamKind::Async))
+    warn("truncated ASYNC stream; ignoring tail");
 }
 
 Tid Scheduler::addMainThread() {
@@ -392,20 +376,11 @@ bool Scheduler::tryFastCommit(Tid Self) {
     EventTick = CurTick.load(std::memory_order_relaxed);
     if (Opts.ExecMode == Mode::Record && Opts.LiveWriter) {
       // Flush boundaries stay a slow-path exclusive so chunk framing is
-      // identical across commit modes: exact for the tick trigger
-      // (compared at the post-advance tick, like maybeFlushLocked), and
-      // conservative for the byte trigger — this commit appends at most
-      // one RLE run to the QUEUE stream, bounded well under 32 bytes.
+      // identical across commit modes (compared at the post-advance tick,
+      // like maybeFlushLocked).
       if (Opts.FlushEveryTicks != 0 &&
           EventTick + 1 - LastFlushTick >= Opts.FlushEveryTicks)
         break;
-      if (Opts.FlushEveryBytes != 0) {
-        const uint64_t Pending = (QueueBytes.size() - QueueFlushed) +
-                                 (SignalBytes.size() - SignalFlushed) +
-                                 (AsyncBytes.size() - AsyncFlushed);
-        if (Pending + 32 >= Opts.FlushEveryBytes)
-          break;
-      }
     }
     if (Opts.ExecMode == Mode::Replay) {
       // A due injection (compared at the post-advance tick, exactly like
@@ -766,7 +741,7 @@ void Scheduler::chooseNextLocked() {
         bool Recovered = false;
         if (Opts.Recovery != RecoveryMode::Strict) {
           const uint64_t Limit = std::min<uint64_t>(
-              ReplayQueue.size(), Idx + 1 + Opts.QueueSearchWindow);
+              ReplayQueue.size(), Idx + 1 + kQueueSearchWindow);
           for (uint64_t J = Idx + 1; J < Limit; ++J) {
             const uint64_t C = ReplayQueue[J];
             if (C >= NumThreads || Threads[C]->Finished)
@@ -816,7 +791,7 @@ void Scheduler::chooseNextLocked() {
               StreamKind::Queue, 0,
               formatString("no runnable designation within %u entries; "
                            "finishing free-run",
-                           Opts.QueueSearchWindow));
+                           kQueueSearchWindow));
           FreeRunFcfs = true;
           ++Stats.SoftResyncs;
           DesyncReport R;
@@ -828,7 +803,7 @@ void Scheduler::chooseNextLocked() {
           R.Actual = formatString(
               "no runnable designation within the %u-entry recovery "
               "window; finishing free-run",
-              Opts.QueueSearchWindow);
+              kQueueSearchWindow);
           softDesyncLocked(std::move(R));
           Active = AnyTid;
           wakeAllParkedLocked();
@@ -907,73 +882,75 @@ void Scheduler::applyInjectionsLocked() {
   // SIGNAL deliveries scheduled for this completed-tick count.
   while (ReplaySignalPos < ReplaySignals.size() &&
          ReplaySignals[ReplaySignalPos].Tick <= EffTick) {
-    const SignalEntry &E = ReplaySignals[ReplaySignalPos++];
-    if (E.Thread >= NumThreads) {
+    const SignalRecord &E = ReplaySignals[ReplaySignalPos++];
+    const Tid T = static_cast<Tid>(E.Thread);
+    const Signo Sig = static_cast<Signo>(E.Signo);
+    if (T >= NumThreads) {
       if (Opts.Recovery != RecoveryMode::Strict) {
         // Skip-with-annotation: a delivery for a thread that never came
         // to exist cannot be satisfied, but dropping one signal record
         // is recoverable — annotate and keep replaying.
         recordRecoveryLocked(
-            RecoveryActionKind::SkipForward, E.Thread, StreamKind::Signal,
-            1,
+            RecoveryActionKind::SkipForward, T, StreamKind::Signal, 1,
             formatString("dropped recorded signal %d for unknown thread "
                          "%u (recorded tick %llu)",
-                         E.Sig, E.Thread,
-                         static_cast<unsigned long long>(E.Tick)));
+                         Sig, T, static_cast<unsigned long long>(E.Tick)));
         continue;
       }
       DesyncReport R;
       R.Reason = DesyncReason::SignalBadThread;
       R.Stream = StreamKind::Signal;
-      R.Thread = E.Thread;
+      R.Thread = T;
       R.Expected = formatString("thread %u registered for signal %d at "
                                 "tick %llu",
-                                E.Thread, E.Sig,
+                                T, Sig,
                                 static_cast<unsigned long long>(E.Tick));
       R.Actual = formatString("only %u threads exist", NumThreads);
       hardDesyncLocked(std::move(R));
       return;
     }
-    Threads[E.Thread]->DeliverableSignals.push_back(E.Sig);
-    Threads[E.Thread]->DeliverableCount.store(
-        static_cast<uint32_t>(Threads[E.Thread]->DeliverableSignals.size()),
+    ThreadState &TS = *Threads[T];
+    TS.DeliverableSignals.push_back(Sig);
+    TS.DeliverableCount.store(
+        static_cast<uint32_t>(TS.DeliverableSignals.size()),
         std::memory_order_release);
     // Replay-side half of the profile SIGNAL identity: the recorded
-    // (thread, tick, signo) triple, not the live delivery tick.
+    // (thread, tick, signo) record, not the live delivery tick.
     if (TSR_UNLIKELY(Prof != nullptr))
-      Prof->onSignal(E.Tick, E.Thread, static_cast<uint64_t>(E.Sig));
+      Prof->onSignal(E);
   }
   // ASYNC events in recorded order; their relative order within a tick is
   // significant (a SignalWakeup may change the enabled set a Reschedule's
   // re-pick observes).
   while (ReplayAsyncPos < ReplayAsync.size() &&
          ReplayAsync[ReplayAsyncPos].Tick <= EffTick) {
-    const AsyncEntry &E = ReplayAsync[ReplayAsyncPos++];
+    const AsyncRecord &E = ReplayAsync[ReplayAsyncPos++];
+    const Tid Target = static_cast<Tid>(E.Thread);
     switch (E.Kind) {
     case AsyncEventKind::SignalWakeup:
-      if (E.Thread >= NumThreads) {
+      if (Target >= NumThreads) {
         if (Opts.Recovery != RecoveryMode::Strict) {
           recordRecoveryLocked(
-              RecoveryActionKind::SkipForward, E.Thread, StreamKind::Async,
+              RecoveryActionKind::SkipForward, Target, StreamKind::Async,
               1,
               formatString("dropped recorded wakeup for unknown thread "
                            "%u (recorded tick %llu)",
-                           E.Thread,
+                           Target,
                            static_cast<unsigned long long>(E.Tick)));
           break;
         }
         DesyncReport R;
         R.Reason = DesyncReason::AsyncBadThread;
         R.Stream = StreamKind::Async;
-        R.Thread = E.Thread;
+        R.Thread = Target;
         R.Expected = formatString(
-            "thread %u registered for a wakeup at tick %llu", E.Thread,
+            "thread %u registered for a wakeup at tick %llu", Target,
             static_cast<unsigned long long>(E.Tick));
         R.Actual = formatString("only %u threads exist", NumThreads);
         hardDesyncLocked(std::move(R));
         return;
       }
-      enableForWakeupLocked(E.Thread);
+      enableForWakeupLocked(Target);
       break;
     case AsyncEventKind::Reschedule: {
       ++Stats.Reschedules;
@@ -1007,11 +984,10 @@ void Scheduler::noticeSignalsLocked(Tid Self) {
     T.RawSignals.pop_front();
     T.DeliverableSignals.push_back(S);
     if (Opts.ExecMode == Mode::Record) {
-      SignalBytes.writeVarU64(Self);
-      SignalBytes.writeVarU64(CurTick);
-      SignalBytes.writeVarU64(static_cast<uint64_t>(S));
+      const SignalRecord Rec{Self, CurTick.load(), static_cast<uint64_t>(S)};
+      encodeSignal(SignalBytes, Rec);
       if (TSR_UNLIKELY(Prof != nullptr))
-        Prof->onSignal(CurTick, Self, static_cast<uint64_t>(S));
+        Prof->onSignal(Rec);
     }
   } while (!T.RawSignals.empty());
   T.RawCount.store(0, std::memory_order_release);
@@ -1063,14 +1039,8 @@ void Scheduler::deadlockCheckLocked() {
 void Scheduler::maybeFlushLocked() {
   if (Opts.ExecMode != Mode::Record || !Opts.LiveWriter)
     return;
-  const uint64_t Pending = (QueueBytes.size() - QueueFlushed) +
-                           (SignalBytes.size() - SignalFlushed) +
-                           (AsyncBytes.size() - AsyncFlushed);
-  const bool TickDue = Opts.FlushEveryTicks != 0 &&
-                       CurTick - LastFlushTick >= Opts.FlushEveryTicks;
-  const bool ByteDue =
-      Opts.FlushEveryBytes != 0 && Pending >= Opts.FlushEveryBytes;
-  if (TickDue || ByteDue)
+  if (Opts.FlushEveryTicks != 0 &&
+      CurTick - LastFlushTick >= Opts.FlushEveryTicks)
     flushRecordStreamsLocked(false);
 }
 
@@ -1175,8 +1145,6 @@ void Scheduler::hardDesyncLocked(DesyncReport R) {
                       Report.Thread,
                       static_cast<uint64_t>(Report.Reason),
                       static_cast<uint64_t>(DesyncKind::Hard));
-  if (Opts.AbortOnHardDesync)
-    fatal("replay hard desynchronisation: %s", Report.Message.c_str());
   warn("replay hard desynchronisation: %s (continuing uncontrolled)",
        Report.Message.c_str());
   FreeRunFcfs = true;
@@ -1223,9 +1191,7 @@ void Scheduler::removeFromWaitListsLocked(Tid T) {
 void Scheduler::recordAsyncLocked(AsyncEventKind Kind, Tid T) {
   if (Opts.ExecMode != Mode::Record)
     return;
-  AsyncBytes.writeVarU64(CurTick);
-  AsyncBytes.writeByte(static_cast<uint8_t>(Kind));
-  AsyncBytes.writeVarU64(T);
+  encodeAsync(AsyncBytes, {CurTick.load(), Kind, T});
 }
 
 void Scheduler::recordRecoveryLocked(RecoveryActionKind Kind, Tid T,

@@ -112,10 +112,6 @@ struct SchedulerOptions {
   /// exhaustion.
   bool Controlled = true;
 
-  /// Abort the process on hard desync (the paper's tool aborts; the
-  /// library default records the desync and free-runs instead).
-  bool AbortOnHardDesync = false;
-
   /// Abort the process when every live thread is disabled (deadlock). The
   /// default is a salvaging shutdown instead: flush the live recording,
   /// fill a structured Deadlock report, and unwind so the session can
@@ -133,12 +129,9 @@ struct SchedulerOptions {
   /// salvageable prefix on disk.
   ChunkedDemoWriter *LiveWriter = nullptr;
 
-  /// Flush the live writer every N ticks (0 disables the tick trigger).
+  /// Flush the live writer every N ticks (0 disables flushing until the
+  /// final one).
   uint64_t FlushEveryTicks = 0;
-
-  /// Flush when the unflushed record bytes across the scheduler's streams
-  /// exceed N (0 disables the byte trigger).
-  uint64_t FlushEveryBytes = 0;
 
   /// Called (under the scheduler lock) at every live-writer flush so the
   /// session can flush its SYSCALL stream at the same tick frontier;
@@ -175,9 +168,6 @@ struct SchedulerOptions {
   /// windowed forward search over the QUEUE stream and the skip-with-
   /// annotation handling of SIGNAL/ASYNC entries for unknown threads.
   RecoveryMode Recovery = RecoveryMode::Strict;
-
-  /// Forward-search window in QUEUE entries (Resync/Adaptive).
-  uint32_t QueueSearchWindow = 64;
 
   /// Recovery action sink shared with the session (null disables action
   /// recording; recovery decisions still apply).
@@ -483,18 +473,6 @@ private:
     bool Notified = false;
   };
 
-  struct SignalEntry {
-    uint64_t Tick;
-    Tid Thread;
-    Signo Sig;
-  };
-
-  struct AsyncEntry {
-    uint64_t Tick;
-    AsyncEventKind Kind;
-    Tid Thread;
-  };
-
   // Pipelined fast paths and the commit gate (no Mu unless noted).
   /// Spins briefly on FastGrant for a grant addressed to \p Self and
   /// CAS-claims it. True: the caller is in its critical section without
@@ -736,9 +714,9 @@ private:
   /// SIGNAL/ASYNC ticks compare against that skewed index. Always zero
   /// under RecoveryMode::Strict.
   uint64_t QueueSkew = 0;
-  std::vector<SignalEntry> ReplaySignals;
+  std::vector<SignalRecord> ReplaySignals;
   size_t ReplaySignalPos = 0;
-  std::vector<AsyncEntry> ReplayAsync;
+  std::vector<AsyncRecord> ReplayAsync;
   size_t ReplayAsyncPos = 0;
 
   /// Consecutive first-come-first-served self-grants by the same thread;

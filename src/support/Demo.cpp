@@ -14,7 +14,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fcntl.h>
 #include <filesystem>
+#include <unistd.h>
 
 using namespace tsr;
 
@@ -41,6 +43,84 @@ size_t Demo::totalSize() const {
   return Total;
 }
 
+//===----------------------------------------------------------------------===//
+// Stream records
+//===----------------------------------------------------------------------===//
+
+namespace {
+constexpr const char *MetaMagic = "tsrdemo";
+} // namespace
+
+void tsr::encodeMeta(ByteWriter &W, const MetaRecord &M) {
+  W.writeString(MetaMagic);
+  W.writeVarU64(M.FormatVersion);
+  W.writeByte(M.Strategy);
+  W.writeByte(M.Controlled ? 1 : 0);
+  W.writeByte(M.WeakMemory ? 1 : 0);
+  W.writeVarU64(M.Seed0);
+  W.writeVarU64(M.Seed1);
+  W.writeVarU64(M.PolicyHash);
+  W.writeVarU64(M.FaultPlanHash);
+}
+
+MetaField tsr::decodeMeta(const std::vector<uint8_t> &Bytes, MetaRecord &Out) {
+  ByteReader R(Bytes);
+  std::string Magic;
+  if (!R.readString(Magic) || Magic != MetaMagic)
+    return MetaField::Magic;
+  if (!R.readVarU64(Out.FormatVersion))
+    return MetaField::Version;
+  uint8_t Controlled = 0, Weak = 0;
+  if (!R.readByte(Out.Strategy) || !R.readByte(Controlled) ||
+      !R.readByte(Weak) || !R.readVarU64(Out.Seed0) ||
+      !R.readVarU64(Out.Seed1) || !R.readVarU64(Out.PolicyHash) ||
+      !R.readVarU64(Out.FaultPlanHash))
+    return MetaField::Body;
+  Out.Controlled = Controlled != 0;
+  Out.WeakMemory = Weak != 0;
+  return MetaField::End;
+}
+
+namespace {
+
+/// Decodes records with \p DecodeOne until \p Bytes is exhausted or a
+/// record is cut short; returns the offset where decoding stopped.
+template <class Record, class DecodeFn>
+size_t decodeRecords(const std::vector<uint8_t> &Bytes,
+                     std::vector<Record> &Out, DecodeFn DecodeOne) {
+  ByteReader R(Bytes);
+  size_t Stop = 0;
+  for (Record Rec; !R.atEnd() && DecodeOne(R, Rec); Stop = R.position())
+    Out.push_back(Rec);
+  return Stop;
+}
+
+} // namespace
+
+size_t tsr::decodeSignals(const std::vector<uint8_t> &Bytes,
+                          std::vector<SignalRecord> &Out) {
+  return decodeRecords(Bytes, Out, [](ByteReader &R, SignalRecord &S) {
+    return R.readVarU64(S.Thread) && R.readVarU64(S.Tick) &&
+           R.readVarU64(S.Signo);
+  });
+}
+
+size_t tsr::decodeAsyncs(const std::vector<uint8_t> &Bytes,
+                         std::vector<AsyncRecord> &Out) {
+  return decodeRecords(Bytes, Out, [](ByteReader &R, AsyncRecord &A) {
+    uint8_t Kind = 0;
+    if (!R.readVarU64(A.Tick) || !R.readByte(Kind) ||
+        !R.readVarU64(A.Thread))
+      return false;
+    A.Kind = static_cast<AsyncEventKind>(Kind);
+    return true;
+  });
+}
+
+//===----------------------------------------------------------------------===//
+// Frames
+//===----------------------------------------------------------------------===//
+
 namespace {
 
 void packU32(uint8_t *Out, uint32_t V) {
@@ -64,23 +144,75 @@ uint64_t unpackU64(const uint8_t *P) {
          static_cast<uint64_t>(unpackU32(P + 4)) << 32;
 }
 
-/// Per-stream header (layout at Demo::StreamHeaderSize). The zero bytes
-/// are validated on load so a bit flip anywhere in the header is caught.
-void packStreamHeader(uint8_t Out[Demo::StreamHeaderSize], StreamKind Kind) {
+} // namespace
+
+void tsr::packStreamHeader(uint8_t (&Out)[Demo::StreamHeaderSize],
+                           StreamKind Kind) {
+  // The zero bytes are validated on load so a bit flip anywhere in the
+  // header is caught.
   std::memcpy(Out, Demo::StreamMagic, 4);
   Out[4] = static_cast<uint8_t>(Demo::FormatVersion);
   Out[5] = static_cast<uint8_t>(Kind);
   std::memset(Out + 6, 0, Demo::StreamHeaderSize - 6);
 }
 
-void packChunkHeader(uint8_t Out[Demo::ChunkHeaderSize], const uint8_t *Data,
-                     size_t Size, uint64_t Frontier) {
+void tsr::packChunkHeader(uint8_t (&Out)[Demo::ChunkHeaderSize],
+                          const uint8_t *Data, size_t Size,
+                          uint64_t Frontier) {
   std::memcpy(Out, Demo::ChunkMagic, 4);
   packU32(Out + 4, static_cast<uint32_t>(Size));
   packU32(Out + 8, crc32(Data, Size));
   packU64(Out + 12, Frontier);
   packU32(Out + 20, crc32(Out, 20));
 }
+
+bool tsr::writeAllFd(int Fd, const uint8_t *P, size_t N,
+                     std::atomic<bool> *IoError) {
+  // Runs on the fatal-signal flush path: errno belongs to the code the
+  // signal interrupted and must be preserved across the retries here. A
+  // zero-byte result is treated as an error rather than retried — on the
+  // fds this writer targets it means no forward progress, and looping on
+  // it from a signal handler would hang the dying process.
+  const int SavedErrno = errno;
+  bool Ok = true;
+  while (N) {
+    const ssize_t W = ::write(Fd, P, N);
+    if (W < 0 && errno == EINTR)
+      continue; // Interrupted before any byte moved: retry, no data lost.
+    if (W <= 0) {
+      if (IoError)
+        IoError->store(true, std::memory_order_relaxed);
+      Ok = false;
+      break;
+    }
+    // Short write (signal after some bytes moved, or a full pipe):
+    // advance past what landed and push the rest.
+    P += W;
+    N -= static_cast<size_t>(W);
+  }
+  errno = SavedErrno;
+  return Ok;
+}
+
+bool tsr::writeStreamHeader(int Fd, StreamKind Kind) {
+  uint8_t Header[Demo::StreamHeaderSize];
+  packStreamHeader(Header, Kind);
+  return writeAllFd(Fd, Header, sizeof(Header), nullptr);
+}
+
+bool tsr::writeChunkFrame(int Fd, const uint8_t *Data, size_t Size,
+                          uint64_t Frontier, std::atomic<bool> *IoError) {
+  uint8_t Header[Demo::ChunkHeaderSize];
+  packChunkHeader(Header, Data, Size, Frontier);
+  return writeAllFd(Fd, Header, sizeof(Header), IoError) &&
+         (Size == 0 || writeAllFd(Fd, Data, Size, IoError));
+}
+
+//===----------------------------------------------------------------------===//
+// Stream files
+//===----------------------------------------------------------------------===//
+
+namespace {
 
 /// One intact data chunk, as byte offsets into StreamScan::Payload.
 struct ChunkRef {
@@ -258,38 +390,28 @@ bool scanStreamFile(const std::string &Path, StreamKind Kind,
   return true;
 }
 
-bool writeChunk(std::FILE *F, const uint8_t *Data, size_t Size,
-                uint64_t Frontier) {
-  uint8_t Header[Demo::ChunkHeaderSize];
-  packChunkHeader(Header, Data, Size, Frontier);
-  if (std::fwrite(Header, 1, sizeof(Header), F) != sizeof(Header))
-    return false;
-  return Size == 0 || std::fwrite(Data, 1, Size, F) == Size;
-}
-
-/// Writes one stream file: header, the given data chunks, and — unless
-/// the stream is an (intentionally unclosed) truncated prefix — the
-/// closing sentinel chunk.
+/// Writes one stream file: header, the \p Chunks of \p Payload, and —
+/// unless the stream is an (intentionally unclosed) truncated prefix —
+/// the closing sentinel chunk.
 bool writeStreamFile(const std::string &Path, StreamKind Kind,
-                     const std::vector<std::pair<const uint8_t *, size_t>>
-                         &DataChunks,
-                     const std::vector<uint64_t> &Frontiers, bool Close,
+                     const uint8_t *Payload,
+                     const std::vector<ChunkRef> &Chunks, bool Close,
                      std::string &Error) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
+  const int Fd =
+      ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (Fd < 0) {
     Error = formatString("%s: cannot create %s stream file: %s", Path.c_str(),
                          streamName(Kind), std::strerror(errno));
     return false;
   }
-  uint8_t Header[Demo::StreamHeaderSize];
-  packStreamHeader(Header, Kind);
-  bool Ok = std::fwrite(Header, 1, sizeof(Header), F) == sizeof(Header);
-  for (size_t I = 0; Ok && I != DataChunks.size(); ++I)
-    Ok = writeChunk(F, DataChunks[I].first, DataChunks[I].second,
-                    Frontiers[I]);
+  bool Ok = writeStreamHeader(Fd, Kind);
+  for (size_t I = 0; Ok && I != Chunks.size(); ++I)
+    Ok = writeChunkFrame(Fd, Payload + Chunks[I].Begin,
+                         Chunks[I].End - Chunks[I].Begin, Chunks[I].Frontier,
+                         nullptr);
   if (Ok && Close)
-    Ok = writeChunk(F, nullptr, 0, Demo::ClosedFrontier);
-  if (std::fclose(F) != 0)
+    Ok = writeChunkFrame(Fd, nullptr, 0, Demo::ClosedFrontier, nullptr);
+  if (::close(Fd) != 0)
     Ok = false;
   if (!Ok)
     Error = formatString("%s: %s stream short write", Path.c_str(),
@@ -314,14 +436,12 @@ bool Demo::saveToDirectory(const std::string &Path, std::string &Error) const {
     // One data chunk carrying the whole in-memory stream. A truncated demo
     // writes its data chunks at frontier() and omits the closing chunk on
     // data streams, so the truncation marker round-trips.
-    std::vector<std::pair<const uint8_t *, size_t>> Chunks;
-    std::vector<uint64_t> Frontiers;
+    std::vector<ChunkRef> Chunks;
     const bool KeepOpen = Truncated && isDataStream(Kind);
-    if (!Streams[I].empty() || KeepOpen) {
-      Chunks.emplace_back(Streams[I].data(), Streams[I].size());
-      Frontiers.push_back(Truncated ? Frontier : 0);
-    }
-    if (!writeStreamFile(File, Kind, Chunks, Frontiers, !KeepOpen, Error))
+    if (!Streams[I].empty() || KeepOpen)
+      Chunks.push_back({Truncated ? Frontier : 0, 0, Streams[I].size()});
+    if (!writeStreamFile(File, Kind, Streams[I].data(), Chunks, !KeepOpen,
+                         Error))
       return false;
   }
   return true;
@@ -523,15 +643,13 @@ bool Demo::salvageDirectory(const std::string &Path, SalvageReport &Out,
     const StreamScan &S = Scans[I];
     StreamFix &Fix = Out.Streams[I];
     const std::string File = Path + "/" + streamName(Kind);
-    std::vector<std::pair<const uint8_t *, size_t>> Keep;
-    std::vector<uint64_t> Frontiers;
+    std::vector<ChunkRef> Keep;
     for (const ChunkRef &C : S.Chunks) {
       if (Kind != StreamKind::Meta && C.Frontier > F) {
         ++Fix.ChunksDropped;
         continue;
       }
-      Keep.emplace_back(S.Payload.data() + C.Begin, C.End - C.Begin);
-      Frontiers.push_back(C.Frontier);
+      Keep.push_back(C);
       ++Fix.ChunksKept;
     }
     Fix.BytesDropped = S.FileSize - S.IntactBytes;
@@ -544,7 +662,7 @@ bool Demo::salvageDirectory(const std::string &Path, SalvageReport &Out,
     if (AlreadyRight)
       continue;
     const std::string Tmp = File + ".tmp";
-    if (!writeStreamFile(Tmp, Kind, Keep, Frontiers, Close, Error))
+    if (!writeStreamFile(Tmp, Kind, S.Payload.data(), Keep, Close, Error))
       return false;
     std::filesystem::rename(Tmp, File, EC);
     if (EC) {

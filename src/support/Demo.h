@@ -18,6 +18,13 @@
 /// A Demo holds the five streams in memory and can round-trip through a
 /// directory of files with those exact names.
 ///
+/// This header is the one owner of the format. Each stream's records have
+/// one codec here (MetaRecord/encodeMeta/decodeMeta and so on): the
+/// recorder encodes through it, and replay, inspectDemo and the offline
+/// profiler decode through it. Each on-disk frame has one packer
+/// (packStreamHeader, packChunkHeader), and every byte reaches a stream
+/// file through writeStreamHeader and writeChunkFrame.
+///
 /// On disk (format v3) every stream is a fixed 16-byte header followed by
 /// an append-only sequence of CRC-framed *chunks*, each stamped with the
 /// scheduler tick it was flushed at (its "frontier"). A closing sentinel
@@ -40,10 +47,13 @@
 #define TSR_SUPPORT_DEMO_H
 
 #include "support/ByteStream.h"
+#include "support/Rle.h"
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace tsr {
 
@@ -61,6 +71,121 @@ inline constexpr unsigned NumStreamKinds = 5;
 
 /// Returns the on-disk file name for \p Kind ("META", "QUEUE", ...).
 const char *streamName(StreamKind Kind);
+
+//===----------------------------------------------------------------------===//
+// Stream records: one type and one encode/decode pair per record kind.
+// QUEUE is a run-length coded tid sequence (RleU64Writer/RleU64Reader).
+//===----------------------------------------------------------------------===//
+
+/// META: what a replay must match, written once when recording starts.
+struct MetaRecord {
+  uint64_t FormatVersion = 0;
+  uint8_t Strategy = 0; ///< StrategyKind.
+  bool Controlled = false;
+  bool WeakMemory = false;
+  uint64_t Seed0 = 0;
+  uint64_t Seed1 = 0;
+  uint64_t PolicyHash = 0; ///< RecordPolicy::hash().
+  /// FaultPlan::hash(); nonzero marks a demo recorded under fault
+  /// injection (informational: the faults replay from SYSCALL).
+  uint64_t FaultPlanHash = 0;
+};
+
+/// Where decodeMeta stopped: the first field it could not decode.
+enum class MetaField : uint8_t {
+  Magic,   ///< Empty, or not a tsr demo ("tsrdemo" missing).
+  Version, ///< The format version varint is missing.
+  Body,    ///< The stream ends after the version.
+  End,     ///< The whole record decoded.
+};
+
+/// Appends \p M: the string "tsrdemo", the format version, one byte each
+/// for strategy, controlled and weak memory, then the seeds and hashes as
+/// varints.
+void encodeMeta(ByteWriter &W, const MetaRecord &M);
+
+/// Decodes the META stream \p Bytes into \p Out (fields before the stop
+/// are filled). Any format version decodes; the caller judges it.
+MetaField decodeMeta(const std::vector<uint8_t> &Bytes, MetaRecord &Out);
+
+/// SIGNAL: signal \c Signo became deliverable to \c Thread at \c Tick
+/// (§4.3). Encoded as three varints in that order.
+struct SignalRecord {
+  uint64_t Thread = 0;
+  uint64_t Tick = 0;
+  uint64_t Signo = 0;
+};
+
+inline void encodeSignal(ByteWriter &W, const SignalRecord &S) {
+  W.writeVarU64(S.Thread);
+  W.writeVarU64(S.Tick);
+  W.writeVarU64(S.Signo);
+}
+
+/// Appends every record of the SIGNAL stream \p Bytes to \p Out. Returns
+/// where decoding stopped: Bytes.size() for a whole stream, else the
+/// offset of the truncated record that ends it.
+size_t decodeSignals(const std::vector<uint8_t> &Bytes,
+                     std::vector<SignalRecord> &Out);
+
+/// Kinds of asynchronous events stored in the ASYNC demo stream (§4.5).
+enum class AsyncEventKind : unsigned {
+  Reschedule = 0,   ///< Liveness rescheduling fired (§3.3).
+  SignalWakeup = 1, ///< A disabled thread was re-enabled by a signal.
+};
+
+/// ASYNC: event \c Kind concerning \c Thread happened at \c Tick (§4.5).
+/// Encoded as a varint tick, a kind byte and a varint tid.
+struct AsyncRecord {
+  uint64_t Tick = 0;
+  AsyncEventKind Kind = AsyncEventKind::Reschedule;
+  uint64_t Thread = 0;
+};
+
+inline void encodeAsync(ByteWriter &W, const AsyncRecord &A) {
+  W.writeVarU64(A.Tick);
+  W.writeByte(static_cast<uint8_t>(A.Kind));
+  W.writeVarU64(A.Thread);
+}
+
+/// Appends every record of the ASYNC stream \p Bytes to \p Out; returns
+/// where decoding stopped, as decodeSignals does.
+size_t decodeAsyncs(const std::vector<uint8_t> &Bytes,
+                    std::vector<AsyncRecord> &Out);
+
+/// SYSCALL: the result of one recorded call (§4.4). Encoded as a varint
+/// kind, a zigzag return value, a varint errno and the call's out-buffer,
+/// which travels beside the record and is run-length coded on the wire.
+struct SyscallRecord {
+  uint64_t Kind = 0; ///< SyscallKind.
+  int64_t Ret = 0;
+  uint64_t Err = 0;
+};
+
+inline void encodeSyscall(ByteWriter &W, const SyscallRecord &S,
+                          const std::vector<uint8_t> &OutBuf) {
+  W.writeVarU64(S.Kind);
+  W.writeVarI64(S.Ret);
+  W.writeVarU64(S.Err);
+  rle::encodeBytes(W, OutBuf);
+}
+
+/// Decodes the kind that opens the next SYSCALL record into \p Out.Kind.
+/// False at the end of \p R or on a malformed varint; \p R's position
+/// then shows where decoding stopped. Whether the kind is known is the
+/// caller's call.
+inline bool decodeSyscallKind(ByteReader &R, SyscallRecord &Out) {
+  return R.readVarU64(Out.Kind);
+}
+
+/// Decodes the rest of the record whose kind was just read: Ret and Err
+/// into \p Out, the out-buffer into \p OutBuf. False when \p R ends
+/// mid-record.
+inline bool decodeSyscallBody(ByteReader &R, SyscallRecord &Out,
+                              std::vector<uint8_t> &OutBuf) {
+  return R.readVarI64(Out.Ret) && R.readVarU64(Out.Err) &&
+         rle::decodeBytes(R, OutBuf);
+}
 
 /// An in-memory demo: five named byte streams plus load/save/salvage.
 class Demo {
@@ -234,6 +359,37 @@ private:
   bool Truncated = false;
   uint64_t Frontier = 0;
 };
+
+//===----------------------------------------------------------------------===//
+// Frames: one packer per on-disk frame, and the fd writers that carry every
+// byte to a stream file (whole-demo saves, salvage and the live writer).
+//===----------------------------------------------------------------------===//
+
+/// Packs the stream header of \p Kind (layout at Demo::StreamHeaderSize).
+void packStreamHeader(uint8_t (&Out)[Demo::StreamHeaderSize],
+                      StreamKind Kind);
+
+/// Packs the header of the chunk frame carrying [\p Data, \p Data +
+/// \p Size) at tick frontier \p Frontier (layout at
+/// Demo::ChunkHeaderSize).
+void packChunkHeader(uint8_t (&Out)[Demo::ChunkHeaderSize],
+                     const uint8_t *Data, size_t Size, uint64_t Frontier);
+
+/// Pushes all \p N bytes to \p Fd, retrying EINTR and resuming short
+/// writes; preserves the caller's errno (fatal-signal path). Returns
+/// false — latching \p IoError when non-null — on any unrecoverable
+/// failure, including a zero-byte write (no forward progress).
+bool writeAllFd(int Fd, const uint8_t *P, size_t N,
+                std::atomic<bool> *IoError);
+
+/// Writes the v3 header of stream \p Kind to \p Fd.
+bool writeStreamHeader(int Fd, StreamKind Kind);
+
+/// Appends one chunk frame — header packed on the stack, then the payload
+/// — to \p Fd. Async-signal-safe: no heap, no locks, no stdio. A false
+/// return may leave the frame torn.
+bool writeChunkFrame(int Fd, const uint8_t *Data, size_t Size,
+                     uint64_t Frontier, std::atomic<bool> *IoError);
 
 } // namespace tsr
 

@@ -7,36 +7,19 @@
 
 #include "support/DemoInspect.h"
 
-#include "support/ByteStream.h"
 #include "support/Diag.h"
 #include "support/Metrics.h"
 #include "support/Recovery.h"
-#include "support/Rle.h"
 
 using namespace tsr;
 
 DemoInfo tsr::inspectDemo(const Demo &D) {
   DemoInfo Info;
 
-  // META.
-  {
-    ByteReader R = D.reader(StreamKind::Meta);
-    std::string Magic;
-    uint8_t Strategy = 0, Controlled = 0, Weak = 0;
-    if (R.readString(Magic) && Magic == "tsrdemo" &&
-        R.readVarU64(Info.FormatVersion) && R.readByte(Strategy) &&
-        R.readByte(Controlled) && R.readByte(Weak) &&
-        R.readVarU64(Info.Seed0) && R.readVarU64(Info.Seed1) &&
-        R.readVarU64(Info.PolicyHash) &&
-        R.readVarU64(Info.FaultPlanHash)) {
-      Info.MetaValid = true;
-      Info.Strategy = Strategy;
-      Info.Controlled = Controlled != 0;
-      Info.WeakMemory = Weak != 0;
-    } else if (D.streamSize(StreamKind::Meta)) {
-      Info.Problems.push_back("META: not a valid tsr demo header");
-    }
-  }
+  Info.MetaValid =
+      decodeMeta(D.stream(StreamKind::Meta), Info.Meta) == MetaField::End;
+  if (!Info.MetaValid && D.streamSize(StreamKind::Meta))
+    Info.Problems.push_back("META: not a valid tsr demo header");
 
   // QUEUE.
   {
@@ -48,49 +31,25 @@ DemoInfo tsr::inspectDemo(const Demo &D) {
       Info.Problems.push_back("QUEUE: trailing bytes after last run");
   }
 
-  // SIGNAL.
-  {
-    ByteReader R = D.reader(StreamKind::Signal);
-    while (!R.atEnd()) {
-      DemoInfo::SignalEntry E;
-      if (!R.readVarU64(E.Tid) || !R.readVarU64(E.Tick) ||
-          !R.readVarU64(E.Signo)) {
-        Info.Problems.push_back("SIGNAL: truncated record");
-        break;
-      }
-      Info.Signals.push_back(E);
-    }
-  }
+  if (decodeSignals(D.stream(StreamKind::Signal), Info.Signals) !=
+      D.streamSize(StreamKind::Signal))
+    Info.Problems.push_back("SIGNAL: truncated record");
 
-  // ASYNC.
-  {
-    ByteReader R = D.reader(StreamKind::Async);
-    while (!R.atEnd()) {
-      DemoInfo::AsyncEntry E;
-      if (!R.readVarU64(E.Tick) || !R.readByte(E.Kind) ||
-          !R.readVarU64(E.Tid)) {
-        Info.Problems.push_back("ASYNC: truncated record");
-        break;
-      }
-      Info.Asyncs.push_back(E);
-    }
-  }
+  if (decodeAsyncs(D.stream(StreamKind::Async), Info.Asyncs) !=
+      D.streamSize(StreamKind::Async))
+    Info.Problems.push_back("ASYNC: truncated record");
 
-  // SYSCALL.
   {
     ByteReader R = D.reader(StreamKind::Syscall);
+    SyscallRecord S;
+    std::vector<uint8_t> OutBuf;
     while (!R.atEnd()) {
-      DemoInfo::SyscallEntry E;
-      std::vector<uint8_t> Payload;
-      uint64_t Err;
-      if (!R.readVarU64(E.Kind) || !R.readVarI64(E.Ret) ||
-          !R.readVarU64(Err) || !rle::decodeBytes(R, Payload)) {
+      if (!decodeSyscallKind(R, S) || !decodeSyscallBody(R, S, OutBuf)) {
         Info.Problems.push_back("SYSCALL: truncated record");
         break;
       }
-      E.Err = Err;
-      E.PayloadBytes = Payload.size();
-      Info.Syscalls.push_back(E);
+      Info.Syscalls.push_back(S);
+      Info.SyscallPayloadBytes.push_back(OutBuf.size());
     }
   }
 
@@ -121,19 +80,20 @@ std::string tsr::formatDemoInfo(const DemoInfo &Info,
                                 size_t MaxEntriesPerStream) {
   std::string Out;
   if (Info.MetaValid) {
+    const MetaRecord &M = Info.Meta;
     Out += formatString(
         "META: version %llu strategy=%s controlled=%s weak-memory=%s\n"
         "      seeds=%016llx/%016llx policy=%016llx\n",
-        static_cast<unsigned long long>(Info.FormatVersion),
-        strategyNameByIndex(Info.Strategy),
-        Info.Controlled ? "yes" : "no", Info.WeakMemory ? "yes" : "no",
-        static_cast<unsigned long long>(Info.Seed0),
-        static_cast<unsigned long long>(Info.Seed1),
-        static_cast<unsigned long long>(Info.PolicyHash));
-    if (Info.FaultPlanHash)
+        static_cast<unsigned long long>(M.FormatVersion),
+        strategyNameByIndex(M.Strategy), M.Controlled ? "yes" : "no",
+        M.WeakMemory ? "yes" : "no",
+        static_cast<unsigned long long>(M.Seed0),
+        static_cast<unsigned long long>(M.Seed1),
+        static_cast<unsigned long long>(M.PolicyHash));
+    if (M.FaultPlanHash)
       Out += formatString(
           "      recorded under fault injection (plan %016llx)\n",
-          static_cast<unsigned long long>(Info.FaultPlanHash));
+          static_cast<unsigned long long>(M.FaultPlanHash));
   } else {
     Out += "META: absent or invalid\n";
   }
@@ -162,7 +122,7 @@ std::string tsr::formatDemoInfo(const DemoInfo &Info,
   for (size_t I = 0; I < Info.Signals.size() && I < MaxEntriesPerStream; ++I)
     Out += formatString(
         "  thread %llu receives signal %llu at tick %llu\n",
-        static_cast<unsigned long long>(Info.Signals[I].Tid),
+        static_cast<unsigned long long>(Info.Signals[I].Thread),
         static_cast<unsigned long long>(Info.Signals[I].Signo),
         static_cast<unsigned long long>(Info.Signals[I].Tick));
 
@@ -171,8 +131,9 @@ std::string tsr::formatDemoInfo(const DemoInfo &Info,
     Out += formatString(
         "  tick %llu: %s (thread %llu)\n",
         static_cast<unsigned long long>(Info.Asyncs[I].Tick),
-        Info.Asyncs[I].Kind == 0 ? "reschedule" : "signal-wakeup",
-        static_cast<unsigned long long>(Info.Asyncs[I].Tid));
+        Info.Asyncs[I].Kind == AsyncEventKind::Reschedule ? "reschedule"
+                                                          : "signal-wakeup",
+        static_cast<unsigned long long>(Info.Asyncs[I].Thread));
 
   Out += formatString("SYSCALL: %zu records\n", Info.Syscalls.size());
   for (size_t I = 0; I < Info.Syscalls.size() && I < MaxEntriesPerStream;
@@ -182,7 +143,7 @@ std::string tsr::formatDemoInfo(const DemoInfo &Info,
         syscallNameByIndex(Info.Syscalls[I].Kind),
         static_cast<long long>(Info.Syscalls[I].Ret),
         static_cast<unsigned long long>(Info.Syscalls[I].Err),
-        Info.Syscalls[I].PayloadBytes);
+        Info.SyscallPayloadBytes[I]);
 
   for (const std::string &P : Info.Problems)
     Out += "warning: " + P + "\n";
@@ -233,22 +194,23 @@ std::string tsr::demoTimelineJson(const DemoInfo &Info,
     I = J;
   }
 
-  for (const DemoInfo::SignalEntry &S : Info.Signals)
+  for (const SignalRecord &S : Info.Signals)
     Emit(formatString("{\"ph\":\"i\",\"pid\":1,\"tid\":%llu,\"ts\":%llu,"
                       "\"s\":\"t\",\"name\":\"signal\",\"args\":{\"signo\":"
                       "%llu}}",
-                      static_cast<unsigned long long>(S.Tid),
+                      static_cast<unsigned long long>(S.Thread),
                       static_cast<unsigned long long>(S.Tick),
                       static_cast<unsigned long long>(S.Signo)));
 
-  for (const DemoInfo::AsyncEntry &A : Info.Asyncs)
+  for (const AsyncRecord &A : Info.Asyncs)
     Emit(formatString("{\"ph\":\"i\",\"pid\":1,\"tid\":%llu,\"ts\":%llu,"
                       "\"s\":\"t\",\"name\":\"%s\",\"args\":{\"thread\":"
                       "%llu}}",
                       static_cast<unsigned long long>(EngineRow),
                       static_cast<unsigned long long>(A.Tick),
-                      A.Kind == 0 ? "reschedule" : "signal-wakeup",
-                      static_cast<unsigned long long>(A.Tid)));
+                      A.Kind == AsyncEventKind::Reschedule ? "reschedule"
+                                                           : "signal-wakeup",
+                      static_cast<unsigned long long>(A.Thread)));
 
   // RECOVERY sidecar actions (PR 6) land on the engine row as instants,
   // so a recovered run shows *where* resync / free-run kicked in.

@@ -24,47 +24,21 @@
 
 namespace tsr {
 
-/// Everything a demo contains, decoded.
+/// Everything a demo contains, decoded through the stream codecs of
+/// support/Demo.h.
 struct DemoInfo {
-  // META
+  /// META decoded completely (any format version).
   bool MetaValid = false;
-  uint64_t FormatVersion = 0;
-  unsigned Strategy = 0;
-  bool Controlled = false;
-  bool WeakMemory = false;
-  uint64_t Seed0 = 0;
-  uint64_t Seed1 = 0;
-  uint64_t PolicyHash = 0;
-  /// Nonzero when the demo was recorded under fault injection.
-  uint64_t FaultPlanHash = 0;
+  MetaRecord Meta;
 
-  // QUEUE: tid per tick.
+  /// QUEUE: tid per tick.
   std::vector<uint64_t> Schedule;
 
-  // SIGNAL
-  struct SignalEntry {
-    uint64_t Tid;
-    uint64_t Tick;
-    uint64_t Signo;
-  };
-  std::vector<SignalEntry> Signals;
-
-  // ASYNC
-  struct AsyncEntry {
-    uint64_t Tick;
-    uint8_t Kind; // 0 = Reschedule, 1 = SignalWakeup
-    uint64_t Tid;
-  };
-  std::vector<AsyncEntry> Asyncs;
-
-  // SYSCALL
-  struct SyscallEntry {
-    uint64_t Kind;
-    int64_t Ret;
-    uint64_t Err;
-    size_t PayloadBytes;
-  };
-  std::vector<SyscallEntry> Syscalls;
+  std::vector<SignalRecord> Signals;
+  std::vector<AsyncRecord> Asyncs;
+  std::vector<SyscallRecord> Syscalls;
+  /// Out-buffer size of each SYSCALL record, parallel to Syscalls.
+  std::vector<size_t> SyscallPayloadBytes;
 
   /// Non-fatal decoding problems (truncated streams etc).
   std::vector<std::string> Problems;

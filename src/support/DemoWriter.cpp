@@ -7,8 +7,6 @@
 
 #include "support/DemoWriter.h"
 
-#include "support/Crc32.h"
-
 #include <cassert>
 #include <cerrno>
 #include <cstring>
@@ -19,25 +17,6 @@
 using namespace tsr;
 
 namespace {
-
-void packU32(uint8_t *Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out[I] = static_cast<uint8_t>(V >> (8 * I));
-}
-
-void packU64(uint8_t *Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out[I] = static_cast<uint8_t>(V >> (8 * I));
-}
-
-void packChunkHeader(uint8_t *Header, const uint8_t *Data, size_t Size,
-                     uint64_t Frontier) {
-  std::memcpy(Header, Demo::ChunkMagic, 4);
-  packU32(Header + 4, static_cast<uint32_t>(Size));
-  packU32(Header + 8, crc32(Data, Size));
-  packU64(Header + 12, Frontier);
-  packU32(Header + 20, crc32(Header, 20));
-}
 
 /// Opens the five stream files of \p Dir and writes their v3 headers.
 /// On failure closes whatever it opened, leaves every fd slot at -1,
@@ -58,12 +37,7 @@ bool openStreamFiles(const std::string &Dir, int (&Fds)[NumStreamKinds],
     bool Ok = Fd >= 0;
     if (Ok) {
       Fds[I] = Fd;
-      uint8_t Header[Demo::StreamHeaderSize];
-      std::memcpy(Header, Demo::StreamMagic, 4);
-      Header[4] = static_cast<uint8_t>(Demo::FormatVersion);
-      Header[5] = static_cast<uint8_t>(Kind);
-      std::memset(Header + 6, 0, Demo::StreamHeaderSize - 6);
-      Ok = writeAllFd(Fd, Header, sizeof(Header), nullptr);
+      Ok = writeStreamHeader(Fd, Kind);
       if (!Ok)
         Error = Path + ": cannot write stream header";
     } else {
@@ -91,34 +65,6 @@ void tsr::buildChunkFrame(std::vector<uint8_t> &Out, const uint8_t *Data,
   Out.insert(Out.end(), Header, Header + sizeof(Header));
   if (Size)
     Out.insert(Out.end(), Data, Data + Size);
-}
-
-bool tsr::writeAllFd(int Fd, const uint8_t *P, size_t N,
-                     std::atomic<bool> *IoError) {
-  // Runs on the fatal-signal flush path: errno belongs to the code the
-  // signal interrupted and must be preserved across the retries here. A
-  // zero-byte result is treated as an error rather than retried — on the
-  // fds this writer targets it means no forward progress, and looping on
-  // it from a signal handler would hang the dying process.
-  const int SavedErrno = errno;
-  bool Ok = true;
-  while (N) {
-    const ssize_t W = ::write(Fd, P, N);
-    if (W < 0 && errno == EINTR)
-      continue; // Interrupted before any byte moved: retry, no data lost.
-    if (W <= 0) {
-      if (IoError)
-        IoError->store(true, std::memory_order_relaxed);
-      Ok = false;
-      break;
-    }
-    // Short write (signal after some bytes moved, or a full pipe):
-    // advance past what landed and push the rest.
-    P += W;
-    N -= static_cast<size_t>(W);
-  }
-  errno = SavedErrno;
-  return Ok;
 }
 
 //===----------------------------------------------------------------------===//
@@ -338,10 +284,7 @@ void ChunkedDemoWriter::appendChunk(StreamKind Kind, const uint8_t *Data,
   int &Fd = Fds[static_cast<unsigned>(Kind)];
   if (Fd < 0)
     return;
-  uint8_t Header[Demo::ChunkHeaderSize];
-  packChunkHeader(Header, Data, Size, Frontier);
-  if (!writeAll(Fd, Header, sizeof(Header)) ||
-      (Size && !writeAll(Fd, Data, Size))) {
+  if (!writeChunkFrame(Fd, Data, Size, Frontier, &IoError)) {
     // The frame may be torn mid-chunk. Any bytes appended after it would
     // sit behind garbage that could masquerade as a plausible chunk
     // header, so kill the stream: the durable prefix up to the previous

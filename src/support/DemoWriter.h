@@ -51,18 +51,11 @@
 namespace tsr {
 
 /// Appends a complete v3 chunk frame (24-byte CRC header + payload) for
-/// [\p Data, \p Data + \p Size) at tick frontier \p Frontier to \p Out.
-/// Shared by the direct writer (which assembles on the stack) and the
-/// async backend (whose producers pre-frame chunks before enqueueing).
+/// [\p Data, \p Data + \p Size) at tick frontier \p Frontier to \p Out:
+/// the async backend's producers pre-frame chunks before enqueueing. The
+/// direct writer packs the same frame on the stack (writeChunkFrame).
 void buildChunkFrame(std::vector<uint8_t> &Out, const uint8_t *Data,
                      size_t Size, uint64_t Frontier);
-
-/// Pushes all \p N bytes to \p Fd, retrying EINTR and resuming short
-/// writes; preserves the caller's errno (fatal-signal path). Returns
-/// false — latching \p IoError when non-null — on any unrecoverable
-/// failure, including a zero-byte write (no forward progress).
-bool writeAllFd(int Fd, const uint8_t *P, size_t N,
-                std::atomic<bool> *IoError);
 
 /// One writer thread multiplexing the demo streams of many concurrent
 /// recording sessions. Producers register a demo directory (opening the
@@ -222,10 +215,6 @@ public:
   }
 
 private:
-  bool writeAll(int Fd, const uint8_t *P, size_t N) {
-    return writeAllFd(Fd, P, N, &IoError);
-  }
-
   int Fds[NumStreamKinds] = {-1, -1, -1, -1, -1};
   bool StreamClosed[NumStreamKinds] = {false, false, false, false, false};
   bool Open = false;

@@ -131,8 +131,8 @@ struct DesyncReport {
   /// Rendered one-line message (renderDesyncReport of this report).
   std::string Message;
 
-  /// Virtual-time timeline excerpt around Tick (±TraceOptions::
-  /// DesyncContext ticks), one event per line. Filled by the session when
+  /// Virtual-time timeline excerpt around Tick (±8 ticks), one event per
+  /// line. Filled by the session when
   /// tracing was enabled; empty otherwise. A TruncatedDemo or desync
   /// report thus shows *what the run was doing* when it diverged, not
   /// just where.

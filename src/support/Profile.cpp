@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <map>
 #include <tuple>
-#include <unistd.h>
 
 namespace tsr {
 
@@ -64,15 +63,7 @@ void appendTidOrNone(std::string &Out, uint64_t V) {
 } // namespace
 
 ProfileInputs profileInputsFromDemo(const DemoInfo &Info) {
-  ProfileInputs In;
-  In.Schedule = Info.Schedule;
-  In.Signals.reserve(Info.Signals.size());
-  for (const DemoInfo::SignalEntry &S : Info.Signals)
-    In.Signals.push_back({S.Tid, S.Tick, S.Signo});
-  In.Syscalls.reserve(Info.Syscalls.size());
-  for (const DemoInfo::SyscallEntry &S : Info.Syscalls)
-    In.Syscalls.push_back({S.Kind, S.Ret, S.Err});
-  return In;
+  return {Info.Schedule, Info.Signals, Info.Syscalls};
 }
 
 ProfileCore analyzeProfile(const ProfileInputs &In) {
@@ -83,8 +74,8 @@ ProfileCore analyzeProfile(const ProfileInputs &In) {
   bool AnyThread = !In.Schedule.empty();
   for (uint64_t T : In.Schedule)
     MaxTid = std::max(MaxTid, T);
-  for (const ProfileInputs::Signal &S : In.Signals) {
-    MaxTid = std::max(MaxTid, S.Tid);
+  for (const SignalRecord &S : In.Signals) {
+    MaxTid = std::max(MaxTid, S.Thread);
     AnyThread = true;
   }
   C.Threads = AnyThread ? MaxTid + 1 : 0;
@@ -181,7 +172,7 @@ ProfileCore analyzeProfile(const ProfileInputs &In) {
   C.SignalCount = In.Signals.size();
   C.SyscallCount = In.Syscalls.size();
   std::map<uint64_t, uint64_t> ByKind;
-  for (const ProfileInputs::Syscall &S : In.Syscalls) {
+  for (const SyscallRecord &S : In.Syscalls) {
     if (S.Err != 0)
       ++C.SyscallErrors;
     ++ByKind[S.Kind];
@@ -502,15 +493,7 @@ std::string profileChromeEvents(const ProfileCore &Core) {
 //===----------------------------------------------------------------------===//
 
 TelemetrySink::TelemetrySink(const TelemetryOptions &Opts) {
-  if (Opts.Fd >= 0) {
-    const int Dup = ::dup(Opts.Fd);
-    if (Dup >= 0) {
-      Out = ::fdopen(Dup, "w");
-      OwnsFile = Out != nullptr;
-      if (!Out)
-        ::close(Dup);
-    }
-  } else if (Opts.Path == "-") {
+  if (Opts.Path == "-") {
     Out = stdout;
     OwnsFile = false;
   } else if (!Opts.Path.empty()) {

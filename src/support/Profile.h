@@ -46,6 +46,8 @@
 #ifndef TSR_SUPPORT_PROFILE_H
 #define TSR_SUPPORT_PROFILE_H
 
+#include "support/Demo.h"
+
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -75,31 +77,19 @@ inline constexpr unsigned NumProfileWaitKinds = 6;
 /// Stable short name ("turn", "mutex", ...).
 const char *profileWaitKindName(ProfileWaitKind K);
 
-/// The pure inputs of the core analysis: exactly the information the
-/// QUEUE / SIGNAL / SYSCALL streams of a demo carry, so an offline
-/// reconstruction sees the same bytes the in-process profiler collected.
+/// The pure inputs of the core analysis: exactly the records the QUEUE /
+/// SIGNAL / SYSCALL streams of a demo carry, so an offline reconstruction
+/// sees the same records the in-process profiler collected.
 struct ProfileInputs {
   /// Tid per tick, in tick order (the QUEUE stream).
   std::vector<uint64_t> Schedule;
-
-  struct Signal {
-    uint64_t Tid;
-    uint64_t Tick;
-    uint64_t Signo;
-  };
-  std::vector<Signal> Signals;
-
-  struct Syscall {
-    uint64_t Kind;
-    int64_t Ret;
-    uint64_t Err;
-  };
-  std::vector<Syscall> Syscalls;
+  std::vector<SignalRecord> Signals;
+  /// Out-buffers are not collected: the analysis reads kind/ret/err only.
+  std::vector<SyscallRecord> Syscalls;
 };
 
 /// Builds core-analysis inputs from a decoded demo (tsr-demo-dump
-/// profile). Payload sizes are dropped: the in-process collector records
-/// kind/ret/err only.
+/// profile).
 ProfileInputs profileInputsFromDemo(const DemoInfo &Info);
 
 /// One segment of the virtual-time critical path: a maximal run of
@@ -300,10 +290,8 @@ public:
   }
 
   /// A signal became deliverable (record: when noticed; replay: at the
-  /// recorded tick — both append the same SIGNAL-stream entry).
-  void onSignal(uint64_t Tick, uint64_t Thread, uint64_t Signo) {
-    In.Signals.push_back({Thread, Tick, Signo});
-  }
+  /// recorded tick — both pass the same SIGNAL-stream record).
+  void onSignal(const SignalRecord &S) { In.Signals.push_back(S); }
 
   // — Critical-section hooks (at most one thread is ever inside) —
 
@@ -320,11 +308,9 @@ public:
     LockEvents.push_back({Tick, 0, LockId, 0, false, false});
   }
 
-  /// One syscall completed with the given demo-stream result triple
-  /// (record: what was recorded; replay: what the demo replayed).
-  void onSyscall(uint64_t Kind, int64_t Ret, uint64_t Err) {
-    In.Syscalls.push_back({Kind, Ret, Err});
-  }
+  /// One syscall completed with the given demo-stream record (record:
+  /// what was recorded; replay: what the demo replayed).
+  void onSyscall(const SyscallRecord &S) { In.Syscalls.push_back(S); }
 
   /// Resolves a runtime address to a registered name ("" when unknown).
   using NameResolver = std::function<std::string(uint64_t Addr)>;
@@ -376,12 +362,8 @@ struct TelemetryOptions {
   /// Emit one frame every this many virtual ticks.
   uint64_t EveryTicks = 1000;
 
-  /// JSONL sink path ("-" = stdout). Ignored when Fd >= 0.
+  /// JSONL sink path ("-" = stdout).
   std::string Path;
-
-  /// An already-open file descriptor to stream into (not closed on
-  /// destruction). Takes precedence over Path.
-  int Fd = -1;
 };
 
 /// Writes telemetry frames. One JSONL object per frame:

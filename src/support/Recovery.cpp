@@ -65,16 +65,11 @@ std::string tsr::renderRecoveryAction(const RecoveryAction &A) {
   return Out;
 }
 
-void RecoveryLog::setLimit(uint32_t NewLimit) {
-  std::lock_guard<std::mutex> L(Mu);
-  Limit = NewLimit;
-}
-
 void RecoveryLog::record(RecoveryAction A) {
   std::lock_guard<std::mutex> L(Mu);
   ++ByKind[static_cast<unsigned>(A.Kind)];
   ++ByStream[static_cast<unsigned>(A.Stream)];
-  if (Actions.size() >= Limit) {
+  if (Actions.size() >= MaxActions) {
     ++Dropped;
     return;
   }
@@ -173,7 +168,7 @@ bool tsr::loadRecoverySidecar(const std::string &Dir,
   }
   std::fclose(F);
 
-  ByteReader R(std::move(Bytes));
+  ByteReader R(Bytes);
   char Magic[4];
   uint8_t Version;
   if (!R.readRaw(Magic, sizeof(Magic)) ||
@@ -214,22 +209,7 @@ bool tsr::loadRecoverySidecar(const std::string &Dir,
     Out.Error = "truncated or trailing checksum";
     return true;
   }
-  // Re-serialise the payload prefix to checksum it; the reader consumed
-  // the original buffer, so checksum what we decoded instead: cheaper to
-  // re-read the file prefix — but we moved the bytes. Re-encode instead.
-  ByteWriter W;
-  W.writeRaw(SidecarMagic, sizeof(SidecarMagic));
-  W.writeByte(SidecarVersion);
-  W.writeVarU64(Actions.size());
-  for (const RecoveryAction &A : Actions) {
-    W.writeByte(static_cast<uint8_t>(A.Kind));
-    W.writeVarU64(A.Tick);
-    W.writeVarU64(A.Thread);
-    W.writeByte(static_cast<uint8_t>(A.Stream));
-    W.writeVarU64(A.Count);
-    W.writeString(A.Detail);
-  }
-  if (W.size() != PayloadEnd || crc32(W.bytes()) != Crc) {
+  if (crc32(Bytes.data(), PayloadEnd) != Crc) {
     Out.Error = "checksum mismatch";
     return true;
   }

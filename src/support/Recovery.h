@@ -130,23 +130,15 @@ struct RecoveryAction {
 /// Renders \p A as a one-line diagnostic.
 std::string renderRecoveryAction(const RecoveryAction &A);
 
-/// Tuning knobs for adaptive recovery (SessionConfig::Recovery).
+/// Tuning knobs for adaptive recovery (SessionConfig::Recovery). The
+/// forward-search windows are fixed: 8 whole SYSCALL records
+/// (runtime/Session.cpp) and 64 QUEUE entries (sched/Scheduler.cpp).
 struct RecoveryPolicy {
   RecoveryMode Mode = RecoveryMode::Strict;
-
-  /// Forward-search window in whole SYSCALL records.
-  uint32_t SyscallSearchWindow = 8;
-
-  /// Forward-search window in QUEUE entries (ticks).
-  uint32_t QueueSearchWindow = 64;
 
   /// Consecutive per-thread divergences before the thread degrades to
   /// per-thread free-run (Adaptive only).
   uint32_t ThreadFreeRunThreshold = 3;
-
-  /// Cap on retained RecoveryAction records; later actions are counted
-  /// but dropped from the timeline.
-  uint32_t MaxActions = 4096;
 
   /// When non-empty, the session writes a RECOVERY sidecar summarising
   /// the actions into this demo directory at the end of the run (the
@@ -160,10 +152,11 @@ struct RecoveryPolicy {
 /// internal mutex is a leaf lock.
 class RecoveryLog {
 public:
-  /// Caps the retained action list (see RecoveryPolicy::MaxActions).
-  void setLimit(uint32_t Limit);
+  /// Cap on retained RecoveryAction records; later actions are counted
+  /// (dropped()) but left off the timeline.
+  static constexpr uint32_t MaxActions = 4096;
 
-  /// Appends one action (drops the record but counts it past the limit).
+  /// Appends one action (drops the record but counts it past MaxActions).
   void record(RecoveryAction A);
 
   /// Copy of every retained action, in order.
@@ -184,7 +177,6 @@ public:
 private:
   mutable std::mutex Mu;
   std::vector<RecoveryAction> Actions;
-  uint32_t Limit = 4096;
   uint64_t Dropped = 0;
   uint64_t ByKind[NumRecoveryActionKinds] = {};
   uint64_t ByStream[NumStreamKinds] = {};

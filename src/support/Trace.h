@@ -114,10 +114,6 @@ struct TraceOptions {
   /// event). Virtual-time stamps are unconditional.
   bool WallClock = true;
 
-  /// Width, in ticks, of the context window attached to desync reports
-  /// (DesyncReport::Timeline) and divergence excerpts.
-  unsigned DesyncContext = 8;
-
   /// When non-empty, the session writes the run's Chrome trace-event JSON
   /// here at the end of run().
   std::string ExportChromePath;

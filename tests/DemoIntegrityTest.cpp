@@ -403,7 +403,7 @@ TEST(FaultInjection, RecordedFaultsReplayWithInjectorDisarmed) {
   // The META stream advertises the plan.
   const DemoInfo Info = inspectDemo(Rec.RecordedDemo);
   ASSERT_TRUE(Info.MetaValid);
-  EXPECT_EQ(Info.FaultPlanHash, hostilePlan().hash());
+  EXPECT_EQ(Info.Meta.FaultPlanHash, hostilePlan().hash());
 
   // Replay without a peer and without a plan: every recorded result,
   // injected or genuine, must come back from the stream.

@@ -251,10 +251,10 @@ TEST(Session, DiskDemoRoundTripAndInspection) {
   ASSERT_TRUE(Loaded.loadFromDirectory(Dir, Error)) << Error;
   const DemoInfo Info = inspectDemo(Loaded);
   EXPECT_TRUE(Info.MetaValid);
-  EXPECT_EQ(Info.Strategy, static_cast<unsigned>(StrategyKind::Queue));
-  EXPECT_TRUE(Info.Controlled);
-  EXPECT_TRUE(Info.WeakMemory);
-  EXPECT_EQ(Info.Seed0, 80u);
+  EXPECT_EQ(Info.Meta.Strategy, static_cast<unsigned>(StrategyKind::Queue));
+  EXPECT_TRUE(Info.Meta.Controlled);
+  EXPECT_TRUE(Info.Meta.WeakMemory);
+  EXPECT_EQ(Info.Meta.Seed0, 80u);
   EXPECT_GT(Info.Schedule.size(), 3u);
   EXPECT_EQ(Info.Syscalls.size(), 1u); // the clock call
   EXPECT_TRUE(Info.Problems.empty());
