@@ -5,17 +5,23 @@
 //
 // google-benchmark microbenchmarks for the runtime's primitives: the
 // Wait()/Tick() critical-section turnaround, atomic-model operations,
-// shadow-memory accesses, mutex round-trips, demo codec throughput and
-// PRNG draws. These quantify the constant factors behind the table
-// benches.
+// shadow-memory accesses, mutex round-trips, demo codec throughput (the
+// SYSCALL out-buffer RLE and the chunk CRC-32) and PRNG draws. These
+// quantify the constant factors behind the table benches.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/common/Util.h"
 #include "runtime/Tsr.h"
+#include "support/Crc32.h"
+#include "support/Prng.h"
 #include "support/Rle.h"
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
+#include <iterator>
+#include <string>
 
 using namespace tsr;
 
@@ -109,21 +115,66 @@ void BM_SyscallRecorded(benchmark::State &State) {
 }
 BENCHMARK(BM_SyscallRecorded)->Arg(2000);
 
+/// \p Size bytes of seeded words, digits and spaces. Like the file blocks
+/// pbzip's recorded reads return, nearly every run is one byte long.
+std::vector<uint8_t> textLikeBytes(size_t Size) {
+  static const char *const Words[] = {"sparse", "record", "replay", "tick",
+                                      "queue",  "thread", "visible", "demo",
+                                      "signal", "mutex",  "atomic", "fence"};
+  Prng Rng(11, 12);
+  std::vector<uint8_t> Data;
+  while (Data.size() < Size) {
+    const char *W = Words[Rng.nextBelow(std::size(Words))];
+    Data.insert(Data.end(), W, W + std::strlen(W));
+    if (Rng.nextBelow(5) == 0) {
+      const std::string Num = std::to_string(Rng.nextBelow(100000));
+      Data.insert(Data.end(), Num.begin(), Num.end());
+    }
+    Data.push_back(Rng.nextBelow(10) == 0 ? '\n' : ' ');
+  }
+  Data.resize(Size);
+  return Data;
+}
+
+/// Arg 1 picks the input: 0 is runs of 13 equal bytes, 1 is text-like.
 void BM_RleRoundTrip(benchmark::State &State) {
-  std::vector<uint8_t> Data(static_cast<size_t>(State.range(0)));
-  for (size_t I = 0; I != Data.size(); ++I)
-    Data[I] = static_cast<uint8_t>((I / 13) & 0xFF);
+  const size_t Size = static_cast<size_t>(State.range(0));
+  std::vector<uint8_t> Data;
+  if (State.range(1) == 0) {
+    Data.resize(Size);
+    for (size_t I = 0; I != Size; ++I)
+      Data[I] = static_cast<uint8_t>((I / 13) & 0xFF);
+  } else {
+    Data = textLikeBytes(Size);
+  }
   for (auto _ : State) {
     ByteWriter W;
     rle::encodeBytes(W, Data);
     ByteReader R(W.take());
     std::vector<uint8_t> Out;
-    rle::decodeBytes(R, Out);
+    benchmark::DoNotOptimize(rle::decodeBytes(R, Out));
     benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
   }
   State.SetBytesProcessed(State.iterations() * State.range(0));
 }
-BENCHMARK(BM_RleRoundTrip)->Arg(1 << 16);
+BENCHMARK(BM_RleRoundTrip)
+    ->ArgNames({"bytes", "text"})
+    ->Args({1 << 16, 0})
+    ->Args({1 << 16, 1});
+
+/// CRC-32 over one pbzip-rr demo's worth of bytes (4.83 MB), the size
+/// each of that workload's four CRC passes covers per iteration.
+void BM_Crc32(benchmark::State &State) {
+  std::vector<uint8_t> Data(static_cast<size_t>(State.range(0)));
+  Prng Rng(13, 14);
+  for (uint8_t &B : Data)
+    B = static_cast<uint8_t>(Rng.next());
+  for (auto _ : State)
+    benchmark::DoNotOptimize(crc32(Data));
+  State.SetBytesProcessed(State.iterations() * State.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4830000);
 
 void BM_PrngDraw(benchmark::State &State) {
   Prng Rng(1, 2);

@@ -58,6 +58,16 @@ public:
   /// Appends a length-prefixed UTF-8 string.
   void writeString(const std::string &S) { writeBlob(S.data(), S.size()); }
 
+  /// Lets an encoder write straight into the buffer: grows it by
+  /// \p MaxSize bytes, calls \p Fill with a pointer to the first of them,
+  /// and keeps the number of bytes \p Fill returns, which must not exceed
+  /// \p MaxSize.
+  template <typename FillFn> void writeInPlace(size_t MaxSize, FillFn Fill) {
+    const size_t Old = Bytes.size();
+    Bytes.resize(Old + MaxSize);
+    Bytes.resize(Old + Fill(Bytes.data() + Old));
+  }
+
   const std::vector<uint8_t> &bytes() const { return Bytes; }
 
   /// Raw pointer to the accumulated bytes. Lets an incremental flusher

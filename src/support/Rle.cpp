@@ -7,67 +7,62 @@
 
 #include "support/Rle.h"
 
+#include <algorithm>
+#include <cstring>
+
 using namespace tsr;
 
 void rle::encodeBytes(ByteWriter &W, const std::vector<uint8_t> &Data) {
   W.writeVarU64(Data.size());
-  size_t I = 0;
-  while (I < Data.size()) {
-    const uint8_t B = Data[I];
-    size_t Run = 1;
-    while (I + Run < Data.size() && Data[I + Run] == B)
-      ++Run;
-    W.writeVarU64(Run);
-    W.writeByte(B);
-    I += Run;
-  }
+  if (Data.empty())
+    return;
+  // A run of L bytes costs at most L varint bytes plus the byte itself, so
+  // 2N bounds the output: size the tail once, write the runs straight into
+  // it, and let the writer trim what is left over.
+  W.writeInPlace(2 * Data.size(), [&Data](uint8_t *Out) {
+    uint8_t *O = Out;
+    const uint8_t *P = Data.data();
+    const uint8_t *const End = P + Data.size();
+    while (P != End) {
+      const uint8_t B = *P;
+      const uint8_t *RunEnd = P + 1;
+      while (RunEnd != End && *RunEnd == B)
+        ++RunEnd;
+      // The LEB128 varint ByteWriter::writeVarU64 would append.
+      uint64_t Run = static_cast<uint64_t>(RunEnd - P);
+      for (; Run >= 0x80; Run >>= 7)
+        *O++ = static_cast<uint8_t>(Run) | 0x80;
+      *O++ = static_cast<uint8_t>(Run);
+      *O++ = B;
+      P = RunEnd;
+    }
+    return static_cast<size_t>(O - Out);
+  });
 }
 
 bool rle::decodeBytes(ByteReader &R, std::vector<uint8_t> &Out) {
   uint64_t Total;
   if (!R.readVarU64(Total))
     return false;
+  // Total is untrusted until runs back it: Out grows only past bytes that
+  // validated runs have filled, at most doubling, never beyond Total.
   Out.clear();
-  Out.reserve(Total);
-  while (Out.size() < Total) {
+  size_t Have = 0;
+  while (Have < Total) {
     uint64_t Run;
     uint8_t B;
     if (!R.readVarU64(Run) || !R.readByte(B))
       return false;
-    if (Run == 0 || Out.size() + Run > Total)
+    if (Run == 0 || Run > Total - Have)
       return false;
-    Out.insert(Out.end(), Run, B);
-  }
-  return true;
-}
-
-void rle::encodeU64Seq(ByteWriter &W, const std::vector<uint64_t> &Values) {
-  W.writeVarU64(Values.size());
-  size_t I = 0;
-  while (I < Values.size()) {
-    const uint64_t V = Values[I];
-    size_t Run = 1;
-    while (I + Run < Values.size() && Values[I + Run] == V)
-      ++Run;
-    W.writeVarU64(Run);
-    W.writeVarU64(V);
-    I += Run;
-  }
-}
-
-bool rle::decodeU64Seq(ByteReader &R, std::vector<uint64_t> &Out) {
-  uint64_t Total;
-  if (!R.readVarU64(Total))
-    return false;
-  Out.clear();
-  Out.reserve(Total);
-  while (Out.size() < Total) {
-    uint64_t Run, V;
-    if (!R.readVarU64(Run) || !R.readVarU64(V))
-      return false;
-    if (Run == 0 || Out.size() + Run > Total)
-      return false;
-    Out.insert(Out.end(), Run, V);
+    if (Run > Out.size() - Have)
+      Out.resize(std::min<uint64_t>(
+          Total, std::max<uint64_t>(Have + Run, 2 * Out.size())));
+    if (Run == 1)
+      Out[Have] = B;
+    else
+      std::memset(Out.data() + Have, B, Run);
+    Have += Run;
   }
   return true;
 }

@@ -29,15 +29,10 @@ namespace rle {
 void encodeBytes(ByteWriter &W, const std::vector<uint8_t> &Data);
 
 /// Decodes a byte buffer previously written by encodeBytes. Returns false on
-/// a truncated stream.
+/// a truncated stream or runs that do not add up to the declared length.
+/// \p Out is sized by the runs decoded so far, never by the declared length
+/// alone.
 bool decodeBytes(ByteReader &R, std::vector<uint8_t> &Out);
-
-/// Appends \p Values to \p W as (runLength, value) varint pairs. Used for
-/// the QUEUE thread-id sequence.
-void encodeU64Seq(ByteWriter &W, const std::vector<uint64_t> &Values);
-
-/// Decodes a sequence previously written by encodeU64Seq.
-bool decodeU64Seq(ByteReader &R, std::vector<uint64_t> &Out);
 
 } // namespace rle
 

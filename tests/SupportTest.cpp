@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/ByteStream.h"
+#include "support/Crc32.h"
 #include "support/Demo.h"
 #include "support/Diag.h"
 #include "support/Prng.h"
@@ -15,8 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
+#include <string>
+#include <utility>
 
 using namespace tsr;
 
@@ -282,18 +287,6 @@ TEST(Rle, DecodeRejectsZeroRun) {
   EXPECT_FALSE(rle::decodeBytes(R, Out));
 }
 
-TEST(Rle, U64SeqRoundTrip) {
-  std::vector<uint64_t> Seq;
-  for (int I = 0; I != 100; ++I)
-    Seq.insert(Seq.end(), 1 + (I % 7), I % 3);
-  ByteWriter W;
-  rle::encodeU64Seq(W, Seq);
-  ByteReader R(W.take());
-  std::vector<uint64_t> Out;
-  ASSERT_TRUE(rle::decodeU64Seq(R, Out));
-  EXPECT_EQ(Out, Seq);
-}
-
 TEST(Rle, IncrementalWriterMatchesReader) {
   std::vector<uint64_t> Seq = {1, 1, 1, 2, 3, 3, 1, 1, 1, 1, 0};
   ByteWriter W;
@@ -324,6 +317,151 @@ TEST(Rle, IncrementalWriterExplicitFlushIsIdempotent) {
   ASSERT_TRUE(RR.pop(Out));
   EXPECT_EQ(Out, 9u);
   EXPECT_FALSE(RR.pop(Out));
+}
+
+//===----------------------------------------------------------------------===//
+// CRC-32 and RLE kernels against bytewise oracles
+//===----------------------------------------------------------------------===//
+
+/// Bytewise CRC-32 reference that shares nothing with crc32's tables: each
+/// table lookup is spelled out as the eight polynomial steps it stands for.
+uint32_t crc32Bytewise(const uint8_t *P, size_t Size, uint32_t Seed = 0) {
+  uint32_t C = ~Seed;
+  for (size_t I = 0; I != Size; ++I) {
+    C ^= P[I];
+    for (int K = 0; K != 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return ~C;
+}
+
+std::vector<uint8_t> randomBytes(size_t Size, uint64_t Seed) {
+  Prng Rng(Seed, Seed + 1);
+  std::vector<uint8_t> Out(Size);
+  for (uint8_t &B : Out)
+    B = static_cast<uint8_t>(Rng.next());
+  return Out;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(std::vector<uint8_t>{}), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseAtEveryLengthAndOffset) {
+  const std::vector<uint8_t> Buf = randomBytes(64 + 8, 1);
+  for (size_t Off = 0; Off != 8; ++Off)
+    for (size_t Len = 0; Len <= 64; ++Len) {
+      const uint8_t *P = Buf.data() + Off;
+      ASSERT_EQ(crc32(P, Len), crc32Bytewise(P, Len))
+          << "offset " << Off << " length " << Len;
+      ASSERT_EQ(crc32(P, Len, 0xDEADBEEF), crc32Bytewise(P, Len, 0xDEADBEEF))
+          << "seeded, offset " << Off << " length " << Len;
+    }
+}
+
+TEST(Crc32, ChainedSeedsMatchOneShot) {
+  const std::vector<uint8_t> Buf = randomBytes(4096, 2);
+  Prng Rng(3, 4);
+  uint32_t Chained = 0;
+  size_t Off = 0;
+  while (Off != Buf.size()) {
+    const size_t Len = std::min<size_t>(Rng.nextBelow(40), Buf.size() - Off);
+    Chained = crc32(Buf.data() + Off, Len, Chained);
+    Off += Len;
+  }
+  EXPECT_EQ(Chained, crc32Bytewise(Buf.data(), Buf.size()));
+  EXPECT_EQ(Chained, crc32(Buf));
+}
+
+TEST(Crc32, MatchesBytewiseOnOneMegabyte) {
+  const std::vector<uint8_t> Buf = randomBytes(1 << 20, 5);
+  EXPECT_EQ(crc32(Buf), crc32Bytewise(Buf.data(), Buf.size()));
+}
+
+/// Reference encoder: one run at a time through the writer's own varint and
+/// byte appends, sharing nothing with encodeBytes' in-place path.
+void encodeBytesOracle(ByteWriter &W, const std::vector<uint8_t> &Data) {
+  W.writeVarU64(Data.size());
+  size_t I = 0;
+  while (I < Data.size()) {
+    const uint8_t B = Data[I];
+    size_t Run = 1;
+    while (I + Run < Data.size() && Data[I + Run] == B)
+      ++Run;
+    W.writeVarU64(Run);
+    W.writeByte(B);
+    I += Run;
+  }
+}
+
+/// Words, digits and spaces: nearly every run is one byte long.
+std::vector<uint8_t> textLikeBytes(size_t Size) {
+  static const char *const Words[] = {"sparse", "record", "replay", "tick",
+                                      "queue",  "thread", "demo",   "fence"};
+  Prng Rng(7, 8);
+  std::string Text;
+  while (Text.size() < Size) {
+    Text += Words[Rng.nextBelow(std::size(Words))];
+    if (Rng.nextBelow(4) == 0)
+      Text += std::to_string(Rng.nextBelow(100000));
+    Text += Rng.nextBelow(9) == 0 ? '\n' : ' ';
+  }
+  Text.resize(Size);
+  return std::vector<uint8_t>(Text.begin(), Text.end());
+}
+
+TEST(Rle, EncodeMatchesOracleAndRoundTrips) {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> Inputs = {
+      {"empty", {}}, {"one byte", {0x42}}};
+  // Runs whose lengths straddle the one-, two- and three-byte varints.
+  for (size_t Run : {127, 128, 129, 16383, 16384})
+    Inputs.push_back({"run of " + std::to_string(Run),
+                      std::vector<uint8_t>(Run, 0x5A)});
+  std::vector<uint8_t> Mixed;
+  for (size_t Run : {129, 1, 16384, 127, 2, 16383, 128})
+    Mixed.insert(Mixed.end(), Run, static_cast<uint8_t>(Mixed.size()));
+  Inputs.push_back({"mixed runs", Mixed});
+  std::vector<uint8_t> Alternating(4099);
+  for (size_t I = 0; I != Alternating.size(); ++I)
+    Alternating[I] = I & 1 ? 0x00 : 0xFF;
+  Inputs.push_back({"alternating", Alternating});
+  Inputs.push_back({"random", randomBytes(65537, 6)});
+  Inputs.push_back({"text-like", textLikeBytes(65537)});
+
+  for (const auto &[Name, Data] : Inputs) {
+    // A prefix checks that the encoder appends after what the writer
+    // already holds.
+    ByteWriter Got, Want;
+    Got.writeString("prefix");
+    Want.writeString("prefix");
+    rle::encodeBytes(Got, Data);
+    encodeBytesOracle(Want, Data);
+    ASSERT_EQ(Got.bytes(), Want.bytes()) << Name;
+
+    ByteReader R(Got.take());
+    std::string Prefix;
+    ASSERT_TRUE(R.readString(Prefix));
+    // A reused buffer longer than the result must not leak into it.
+    std::vector<uint8_t> Out(Data.size() + 1000, 0xEE);
+    ASSERT_TRUE(rle::decodeBytes(R, Out)) << Name;
+    EXPECT_EQ(Out, Data) << Name;
+    EXPECT_TRUE(R.atEnd()) << Name;
+  }
+}
+
+TEST(Rle, DecodeRejectsHugeDeclaredLength) {
+  for (uint64_t Total : {uint64_t(1) << 62, uint64_t(1) << 40}) {
+    ByteWriter W;
+    W.writeVarU64(Total);
+    W.writeVarU64(1); // one 1-byte run, then the stream ends
+    W.writeByte(7);
+    ByteReader R(W.take());
+    std::vector<uint8_t> Out;
+    bool Ok = true;
+    EXPECT_NO_THROW(Ok = rle::decodeBytes(R, Out)) << Total;
+    EXPECT_FALSE(Ok) << Total;
+  }
 }
 
 //===----------------------------------------------------------------------===//
