@@ -5,8 +5,8 @@
 //
 // Measures record-as-a-service capacity: a SessionPool records N
 // concurrent MiniHttpd+LoadGen sessions (each with its own scheduler,
-// environment and demo directory, all multiplexed through the shared
-// async demo-writer backend) for N in {1, 8, 64, 256}. Reports
+// environment, demo directory and demo writer) for N in
+// {1, 8, 64, 256}. Reports
 // sessions/sec, aggregate controlled ticks/sec and the amortised
 // per-session overhead vs a solo recording; verifies that a fleet
 // session's demo is bit-identical to the same workload recorded solo
@@ -15,7 +15,7 @@
 //
 // The host has one CPU, so "concurrent" means all N sessions are live in
 // one process at once (every scheduler, every straggler registry, every
-// stream multiplexed) while the OS timeslices them; per-session overhead
+// demo writer) while the OS timeslices them; per-session overhead
 // is therefore the amortised batch cost (BatchWall / N) / SoloWall, the
 // fleet analogue of throughput per session.
 //
@@ -148,8 +148,8 @@ FleetResult measureFleet(size_t N, int Reps, const std::string &SoloDir) {
 
     if (Rep + 1 == Reps) {
       // Session 0 runs the solo recording's exact config and seeds: its
-      // fleet demo must be byte-identical despite 5 * N streams having
-      // shared one backend writer thread.
+      // fleet demo must be byte-identical despite N sessions recording
+      // in one process at once.
       const std::string Dir0 = Root + "/httpd-000";
       Out.DemoBitIdentical = streamsIdentical(SoloDir, Dir0);
       Demo D;
@@ -219,7 +219,7 @@ int main() {
   std::printf("\noverhead = amortised per-session cost (batch wall / N) / "
               "solo wall; 1.0x = batching\nis free. demo == : the fleet "
               "session sharing the solo run's seeds produced a\nbyte-"
-              "identical demo through the shared backend.\n");
+              "identical demo inside the fleet.\n");
 
   FILE *F = std::fopen("BENCH_fleet_throughput.json", "w");
   if (!F) {

@@ -24,8 +24,9 @@
 #                   tests, then `tsr-demo-dump profile` over a freshly
 #                   recorded demo — run twice and byte-compared, since the
 #                   offline analysis must be deterministic.
-#   --fleet         run only the multi-session gate: SessionPool tests
-#                   (plain + ASan), then a fleet_throughput smoke run
+#   --fleet         run only the multi-session gate: SessionPool tests and
+#                   the pooled CrashRecovery kill rows (plain + ASan),
+#                   then a fleet_throughput smoke run
 #                   whose JSON must report zero desyncs/deadlocks and
 #                   replay_identical=true at every rung — i.e. a demo
 #                   recorded inside a concurrent fleet is byte-identical
@@ -217,18 +218,21 @@ run_chaos_cli() {
 }
 
 # Multi-session gate: the SessionPool suite (concurrent record/replay
-# stress, registry drain, fleet-vs-solo bit-identity) in the requested
-# configuration, then a fleet_throughput smoke whose JSON must show a
-# fully healthy fleet.
+# stress, registry drain, fleet-vs-solo bit-identity, shared-directory
+# refusal) and the crash-matrix rows that kill a pooled recording
+# (SIGKILL, SIGSEGV) in the requested configuration, then a
+# fleet_throughput smoke whose JSON must show a fully healthy fleet.
 run_fleet_tests() {
   name="$1"
   sanitize="$2"
   dir="build-verify-$name"
   [ "$name" = "plain" ] && dir="build"
-  echo "== $name: SessionPool suite ($dir)"
+  echo "== $name: SessionPool suite + pooled crash rows ($dir)"
   cmake -B "$dir" -S . -DTSR_SANITIZE="$sanitize" >/dev/null
-  cmake --build "$dir" -j "$JOBS" --target session_pool_test >/dev/null
-  ctest --test-dir "$dir" --output-on-failure -R SessionPool
+  cmake --build "$dir" -j "$JOBS" \
+    --target session_pool_test crash_recovery_test >/dev/null
+  ctest --test-dir "$dir" --output-on-failure \
+    -R 'SessionPool|CrashRecovery\..*Pool'
 }
 
 run_fleet_smoke() {

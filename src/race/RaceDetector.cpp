@@ -44,68 +44,65 @@ std::string RaceReport::str() const {
 RaceDetector::RaceDetector(RaceShadowMode Shadow) : Shadow(Shadow) {}
 
 RaceDetector::~RaceDetector() {
-  for (ThreadCell &Cell : Threads)
-    delete Cell.VC.load(std::memory_order_relaxed);
+  for (std::atomic<ThreadCell *> &Cell : Threads)
+    delete Cell.load(std::memory_order_relaxed);
+}
+
+RaceDetector::ThreadCell &RaceDetector::threadCell(Tid T) const {
+  assert(T < MaxThreads && "thread id beyond detector capacity");
+  ThreadCell *Cell = Threads[T].load(std::memory_order_acquire);
+  assert(Cell && "unregistered thread");
+  return *Cell;
 }
 
 void RaceDetector::registerMainThread() {
   std::lock_guard<std::mutex> L(ClocksMu);
-  assert(!Threads[0].VC.load(std::memory_order_relaxed) &&
+  assert(!Threads[0].load(std::memory_order_relaxed) &&
          "main thread registered twice");
-  VectorClock *C = new VectorClock();
-  Threads[0].OwnEpoch = C->tick(0);
-  Threads[0].VC.store(C, std::memory_order_release);
+  auto *Main = new ThreadCell();
+  Main->OwnEpoch = Main->VC.tick(0);
+  Threads[0].store(Main, std::memory_order_release);
 }
 
 void RaceDetector::forkChild(Tid Parent, Tid Child) {
   std::lock_guard<std::mutex> L(ClocksMu);
-  VectorClock *PC = Threads[Parent].VC.load(std::memory_order_relaxed);
-  assert(PC && "unknown parent thread");
-  assert(!Threads[Child].VC.load(std::memory_order_relaxed) &&
+  ThreadCell *P = Threads[Parent].load(std::memory_order_relaxed);
+  assert(P && "unknown parent thread");
+  assert(!Threads[Child].load(std::memory_order_relaxed) &&
          "child thread registered twice");
   // Creation synchronises: everything the parent did so far
   // happens-before everything the child does.
-  VectorClock *CC = new VectorClock(*PC);
-  Threads[Child].OwnEpoch = CC->tick(Child);
-  // forkChild runs on the parent thread, so its epoch cache is ours to
-  // update; the release store below publishes the initialised child clock
-  // to concurrent lock-free readers.
-  Threads[Parent].OwnEpoch = PC->tick(Parent);
-  Threads[Child].VC.store(CC, std::memory_order_release);
+  auto *C = new ThreadCell();
+  C->VC = P->VC;
+  C->OwnEpoch = C->VC.tick(Child);
+  // forkChild runs on the parent thread, so its cell is ours to update;
+  // the release store below publishes the initialised child cell to
+  // concurrent lock-free readers.
+  P->OwnEpoch = P->VC.tick(Parent);
+  Threads[Child].store(C, std::memory_order_release);
 }
 
 void RaceDetector::joinChild(Tid Parent, Tid Child) {
-  assert(Parent < MaxThreads && Child < MaxThreads && "join of unknown thread");
-  VectorClock *PC = Threads[Parent].VC.load(std::memory_order_relaxed);
-  VectorClock *CC = Threads[Child].VC.load(std::memory_order_acquire);
-  assert(PC && CC && "join of unknown thread");
-  PC->join(*CC);
+  threadCell(Parent).VC.join(threadCell(Child).VC);
 }
 
 const VectorClock &RaceDetector::clock(Tid T) const {
-  assert(T < MaxThreads && "unknown thread clock");
-  const VectorClock *C = Threads[T].VC.load(std::memory_order_acquire);
-  assert(C && "unknown thread clock");
-  return *C;
+  return threadCell(T).VC;
 }
 
-VectorClock &RaceDetector::clockMutable(Tid T) {
-  assert(T < MaxThreads && "unknown thread clock");
-  VectorClock *C = Threads[T].VC.load(std::memory_order_acquire);
-  assert(C && "unknown thread clock");
-  return *C;
-}
+VectorClock &RaceDetector::clockMutable(Tid T) { return threadCell(T).VC; }
 
 void RaceDetector::tickClock(Tid T) {
-  Threads[T].OwnEpoch = clockMutable(T).tick(T);
+  ThreadCell &C = threadCell(T);
+  C.OwnEpoch = C.VC.tick(T);
 }
 
 void RaceDetector::acquire(Tid T, const VectorClock &From) {
-  VectorClock &C = clockMutable(T);
-  C.join(From);
+  ThreadCell &C = threadCell(T);
+  C.VC.join(From);
   // A join never raises T's own component (only T ticks it), but refresh
   // the cache anyway so the invariant survives future changes.
-  Threads[T].OwnEpoch = C.get(T);
+  C.OwnEpoch = C.VC.get(T);
 }
 
 void RaceDetector::releaseJoin(Tid T, VectorClock &Into) {
@@ -135,16 +132,14 @@ void RaceDetector::onAtomicWrite(Tid T, uintptr_t Addr, size_t Size) {
 
 void RaceDetector::access(Tid T, uintptr_t Addr, size_t Size,
                           AccessKind Kind) {
-  assert(T < MaxThreads && "thread id beyond detector capacity");
-  ThreadCell &TS = Threads[T];
-  VectorClock *VC = TS.VC.load(std::memory_order_acquire);
-  assert(VC && "access by unregistered thread");
+  ThreadCell &TS = threadCell(T);
+  const VectorClock &VC = TS.VC;
   const bool Plain =
       Kind == AccessKind::PlainRead || Kind == AccessKind::PlainWrite;
   if (Plain)
     ++TS.PlainAccesses;
   const Epoch E = TS.OwnEpoch;
-  assert(E == VC->get(T) && "stale own-epoch cache");
+  assert(E == VC.get(T) && "stale own-epoch cache");
   const uintptr_t FirstGranule = Addr >> 3;
   const uintptr_t LastGranule = (Addr + Size - 1) >> 3;
   for (uintptr_t G = FirstGranule; G <= LastGranule; ++G) {
@@ -155,7 +150,7 @@ void RaceDetector::access(Tid T, uintptr_t Addr, size_t Size,
     if (Shadow == RaceShadowMode::StripedMap) {
       Stripe &S = stripeFor(G);
       std::lock_guard<std::mutex> L(S.Mu);
-      checkCell(T, G, S.Cells[G], Off, Sz, Kind, *VC, TS);
+      checkCell(T, G, S.Cells[G], Off, Sz, Kind, VC, TS);
       continue;
     }
     Table::Page &P = Pages.pageFor(G);
@@ -164,7 +159,7 @@ void RaceDetector::access(Tid T, uintptr_t Addr, size_t Size,
       continue;
     std::lock_guard<std::mutex> L(P.Mu);
     ShadowCell &Cell = P.cell(G);
-    checkCell(T, G, Cell, Off, Sz, Kind, *VC, TS);
+    checkCell(T, G, Cell, Off, Sz, Kind, VC, TS);
     publishMirror(F, Cell);
   }
 }
@@ -479,11 +474,14 @@ size_t RaceDetector::reportCount() {
 
 RaceDetectorStats RaceDetector::statsSnapshot() const {
   RaceDetectorStats S;
-  for (const ThreadCell &Cell : Threads) {
-    S.PlainAccesses += Cell.PlainAccesses;
-    S.SameEpochHits += Cell.SameEpochHits;
-    S.FastPathHits += Cell.FastPathHits;
-    S.ReadInflations += Cell.ReadInflations;
+  for (const std::atomic<ThreadCell *> &Slot : Threads) {
+    const ThreadCell *Cell = Slot.load(std::memory_order_acquire);
+    if (!Cell)
+      continue;
+    S.PlainAccesses += Cell->PlainAccesses;
+    S.SameEpochHits += Cell->SameEpochHits;
+    S.FastPathHits += Cell->FastPathHits;
+    S.ReadInflations += Cell->ReadInflations;
   }
   S.ShadowPages = Pages.pageCount();
   S.ShadowPagesRetired = Pages.retiredCount();

@@ -39,6 +39,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -219,13 +220,14 @@ private:
 
   using Table = ShadowTable<ShadowCell>;
 
-  /// Per-thread detector state. Cache-line sized so concurrent threads'
-  /// counters never false-share. The clock pointer is published with
-  /// release/acquire (forkChild publishes, concurrent plain accesses
-  /// read); everything else is written only by the owning thread.
+  /// Per-thread detector state, allocated when the thread registers.
+  /// Cache-line sized so concurrent threads' counters never false-share.
+  /// Registration (registerMainThread, or forkChild on the parent) fills
+  /// the cell before publishing it; after that only the owning thread
+  /// writes it.
   struct alignas(64) ThreadCell {
-    std::atomic<VectorClock *> VC{nullptr};
-    /// Owner-thread cache of VC->get(self): own components change only
+    VectorClock VC;
+    /// Owner-thread cache of VC.get(self): own components change only
     /// through tickClock/forkChild (acquire joins never raise a thread's
     /// own component), so the cache is refreshed at exactly those points.
     Epoch OwnEpoch = 0;
@@ -234,6 +236,9 @@ private:
     uint64_t FastPathHits = 0;
     uint64_t ReadInflations = 0;
   };
+
+  /// The registered cell of \p T (acquire load; asserts registration).
+  ThreadCell &threadCell(Tid T) const;
 
   void access(Tid T, uintptr_t Addr, size_t Size, AccessKind Kind);
   bool tryFastPath(Table::FastCell &F, Tid T, Epoch E, uint8_t Off,
@@ -259,11 +264,14 @@ private:
   /// Optional execution-trace recorder (see setTrace).
   TraceRecorder *Trace = nullptr;
 
-  /// Per-thread clocks and counters, indexed by tid (MaxThreads, shared
-  /// with the scheduler's table). Fixed capacity so readers never observe
-  /// a reallocation; ClocksMu serialises registration only (clock
-  /// publication is the release store in VC).
-  std::array<ThreadCell, MaxThreads> Threads;
+  /// Per-thread cells, indexed by tid (MaxThreads, shared with the
+  /// scheduler's table). Slot T is null until thread T registers and then
+  /// holds its cell until the detector dies, so lock-free readers never
+  /// see one move. Registration publishes a cell with a release store;
+  /// ClocksMu serialises registration only. The cells live on the heap
+  /// rather than inline so the detector itself stays a plain,
+  /// max_align_t-aligned allocation (DESIGN.md §10.2).
+  std::array<std::atomic<ThreadCell *>, MaxThreads> Threads{};
   std::mutex ClocksMu;
 
   /// Legacy striped backend (RaceShadowMode::StripedMap).
@@ -281,6 +289,10 @@ private:
   std::mutex NamesMu;
   std::map<uintptr_t, std::pair<size_t, std::string>> Names;
 };
+
+static_assert(alignof(RaceDetector) <= alignof(std::max_align_t),
+              "an over-aligned detector leaves glibc a hole the next "
+              "session's detector cannot reuse (DESIGN.md §10.2)");
 
 } // namespace tsr
 

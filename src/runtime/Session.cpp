@@ -368,12 +368,7 @@ RunReport Session::run(std::function<void()> MainFn) {
     writeMeta();
     if (!Config.Flush.Directory.empty()) {
       std::string WriterError;
-      const bool Opened =
-          Config.Flush.Backend
-              ? LiveWriter.attach(*Config.Flush.Backend,
-                                  Config.Flush.Directory, WriterError)
-              : LiveWriter.open(Config.Flush.Directory, WriterError);
-      if (!Opened) {
+      if (!LiveWriter.open(Config.Flush.Directory, WriterError)) {
         warn("incremental demo flushing disabled: %s", WriterError.c_str());
       } else {
         const auto &Meta = RecordDemo.stream(StreamKind::Meta);
@@ -1166,14 +1161,18 @@ void Session::recordSyscall(const SyscallRecord &Rec,
   encodeSyscall(SyscallBytes, Rec, OutBuf);
 }
 
-void Session::drainSyscallStream(uint64_t Tick, bool Final) {
-  if (!LiveWriter.isOpen())
-    return;
-  std::lock_guard<std::mutex> L(SyscallStreamMu);
+void Session::appendSyscallChunkLocked(uint64_t Tick) {
   LiveWriter.appendChunk(StreamKind::Syscall,
                          SyscallBytes.data() + SyscallFlushed,
                          SyscallBytes.size() - SyscallFlushed, Tick);
   SyscallFlushed = SyscallBytes.size();
+}
+
+void Session::drainSyscallStream(uint64_t Tick, bool Final) {
+  if (!LiveWriter.isOpen())
+    return;
+  std::lock_guard<std::mutex> L(SyscallStreamMu);
+  appendSyscallChunkLocked(Tick);
   if (Final)
     LiveWriter.closeStream(StreamKind::Syscall);
 }
@@ -1181,23 +1180,12 @@ void Session::drainSyscallStream(uint64_t Tick, bool Final) {
 void Session::emergencyFlushDemo() {
   if (!LiveWriter.isOpen() || !Sched)
     return;
-  if (LiveWriter.isAttached()) {
-    // Attached mode cannot assemble new chunks from a signal handler
-    // (enqueueing allocates and may block on backpressure). Push out the
-    // frames producers already queued instead: crash durability is the
-    // queued prefix, and the per-chunk CRCs cut any torn tail.
-    LiveWriter.emergencyFlushQueued();
-    return;
-  }
   const auto Tick = Sched->emergencyFlush();
   if (!Tick)
     return; // Scheduler lock unavailable: keep the durable prefix as-is.
   if (!SyscallStreamMu.try_lock())
     return; // A record append is mid-flight; its bytes stay unflushed.
-  LiveWriter.appendChunk(StreamKind::Syscall,
-                         SyscallBytes.data() + SyscallFlushed,
-                         SyscallBytes.size() - SyscallFlushed, *Tick);
-  SyscallFlushed = SyscallBytes.size();
+  appendSyscallChunkLocked(*Tick);
   SyscallStreamMu.unlock();
 }
 

@@ -57,6 +57,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -83,13 +84,6 @@ struct RecordFlushPolicy {
   /// async-signal-safe flush of every registered session before the
   /// process dies, then re-raise with the default disposition.
   uint64_t EveryTicks = 64;
-
-  /// Shared multi-session writer backend (SessionPool wires this; null
-  /// keeps the session's own synchronous writer). The streams still land
-  /// in Directory with identical framing — one background thread just
-  /// does the write(2) calls for every session in the pool. The backend
-  /// must outlive the session's run().
-  AsyncDemoBackend *Backend = nullptr;
 };
 
 /// Tick-watchdog supervision, always armed: the thread blocked in
@@ -502,6 +496,9 @@ private:
   void recordSyscall(const SyscallRecord &Rec,
                      const std::vector<uint8_t> &OutBuf);
   void drainSyscallStream(uint64_t Tick, bool Final);
+  /// Appends the unflushed SYSCALL suffix as one chunk at \p Tick and
+  /// advances SyscallFlushed. Caller holds SyscallStreamMu.
+  void appendSyscallChunkLocked(uint64_t Tick);
   /// Emits one telemetry frame when the tick cadence has elapsed (called
   /// from leaveCritical outside the scheduler lock) or the final frame.
   void pumpTelemetry(uint64_t Tick, bool Final);

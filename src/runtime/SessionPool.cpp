@@ -7,11 +7,12 @@
 
 #include "runtime/SessionPool.h"
 
+#include "support/Diag.h"
+
 #include <atomic>
-#include <cassert>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <thread>
 
@@ -22,6 +23,25 @@ namespace {
 double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
       .count();
+}
+
+/// True when \p Name is exactly one path component below DemoRoot.
+bool isDirectoryName(const std::string &Name) {
+  return !Name.empty() && Name != "." && Name != ".." &&
+         Name.find('/') == std::string::npos;
+}
+
+/// \p Dir spelled one way per directory: absolute, lexically normal, no
+/// trailing separator.
+std::string normalDirectory(const std::string &Dir) {
+  std::error_code EC;
+  std::filesystem::path P = std::filesystem::absolute(Dir, EC);
+  if (EC)
+    P = Dir;
+  P = P.lexically_normal();
+  if (!P.has_filename())
+    P = P.parent_path();
+  return P.string();
 }
 
 } // namespace
@@ -61,9 +81,7 @@ std::string FleetReport::toJson() const {
 
 SessionPool::SessionPool() : SessionPool(Options()) {}
 
-SessionPool::SessionPool(Options O)
-    : Opts(std::move(O)), Backend(Opts.MaxQueuedBytes ? Opts.MaxQueuedBytes
-                                                      : size_t(32) << 20) {}
+SessionPool::SessionPool(Options O) : Opts(std::move(O)) {}
 
 SessionPool::~SessionPool() {
   // Zombies pin parked-forever straggler threads; destroying their
@@ -81,22 +99,26 @@ void SessionPool::submit(PoolSessionSpec Spec) {
   Pending.push_back(std::move(Spec));
 }
 
+std::string SessionPool::recordDirectory(const PoolSessionSpec &Spec) const {
+  if (Spec.Config.ExecMode != Mode::Record)
+    return "";
+  if (Opts.DemoRoot.empty())
+    return Spec.Config.Flush.Directory;
+  return Opts.DemoRoot + "/" + Spec.Name;
+}
+
 PoolSessionResult SessionPool::runOne(PoolSessionSpec &&Spec, size_t Index,
                                       size_t &RetiredOut, size_t &LeakedOut) {
   PoolSessionResult Result;
   Result.Name = Spec.Name;
   Result.Index = Index;
 
+  const std::string Dir = recordDirectory(Spec);
   SessionConfig Cfg = std::move(Spec.Config);
   Result.Replay = Cfg.ExecMode == Mode::Replay;
-  if (!Opts.DemoRoot.empty() && Cfg.ExecMode == Mode::Record) {
-    Cfg.Flush.Directory = Opts.DemoRoot + "/" + Spec.Name;
+  if (!Opts.DemoRoot.empty() && !Dir.empty()) {
+    Cfg.Flush.Directory = Dir;
     Cfg.Flush.EveryTicks = Opts.FlushEveryTicks;
-    Cfg.Flush.Backend = &Backend;
-  } else if (!Cfg.Flush.Directory.empty() && Cfg.ExecMode == Mode::Record) {
-    // A spec that brings its own flush directory still shares the pool's
-    // writer thread instead of doing its own write(2) calls.
-    Cfg.Flush.Backend = &Backend;
   }
 
   auto S = std::make_unique<Session>(std::move(Cfg));
@@ -137,6 +159,27 @@ FleetReport SessionPool::runAll() {
   std::vector<PoolSessionSpec> Specs(std::make_move_iterator(Pending.begin()),
                                      std::make_move_iterator(Pending.end()));
   Pending.clear();
+
+  // Two recordings in one directory would interleave their chunks into
+  // stream files neither can load, so refuse the batch before it starts.
+  std::map<std::string, size_t> DirOwners;
+  for (size_t I = 0; I != N; ++I) {
+    const std::string Dir = recordDirectory(Specs[I]);
+    if (Dir.empty())
+      continue;
+    const std::string &Name = Specs[I].Name;
+    if (!Opts.DemoRoot.empty() && !isDirectoryName(Name))
+      fatal("SessionPool: recording spec %zu is named '%s', which is not "
+            "one directory under DemoRoot (it must be non-empty, not '.' "
+            "or '..', and contain no '/')",
+            I, Name.c_str());
+    const auto [It, Fresh] = DirOwners.emplace(normalDirectory(Dir), I);
+    if (!Fresh)
+      fatal("SessionPool: recording specs %zu ('%s') and %zu ('%s') both "
+            "record into %s",
+            It->second, Specs[It->second].Name.c_str(), I, Name.c_str(),
+            It->first.c_str());
+  }
 
   unsigned Workers = Opts.Concurrency;
   if (Workers == 0) {

@@ -9,9 +9,10 @@
 /// SessionPool runs N independent record/replay sessions concurrently in
 /// one process — the fleet-scale deployment story of sparse recording:
 /// always-on capture of many workloads, each with its own scheduler,
-/// demo directory, metrics and recovery state, sharing nothing but one
-/// async demo-writer backend (per-session stream files, one background
-/// write(2) thread) and the process-wide fatal-signal flush registry.
+/// demo directory, metrics and recovery state, sharing nothing but the
+/// process-wide fatal-signal flush registry. A pooled session writes its
+/// streams through its own chunked writer, exactly as a solo session
+/// does; the pool only picks the directory.
 ///
 /// Typical use:
 /// \code
@@ -39,6 +40,7 @@
 
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -47,12 +49,14 @@ namespace tsr {
 /// One workload the pool will run as its own session.
 struct PoolSessionSpec {
   /// Names the session's demo subdirectory (DemoRoot/Name) and its row in
-  /// the fleet report. Must be unique within one pool when recording.
+  /// the fleet report. A recording under DemoRoot needs a name that is
+  /// one path component (non-empty, not "." or "..", no '/'), and no two
+  /// recordings of one runAll() may share a directory.
   std::string Name;
 
   /// Full per-session configuration (preset + mode + seeds). When the
-  /// pool has a DemoRoot and the session records, Flush.{Directory,
-  /// Backend} are overwritten to route through the shared backend.
+  /// pool has a DemoRoot and the session records, Flush.Directory and
+  /// Flush.EveryTicks are overwritten to record into DemoRoot/Name.
   SessionConfig Config;
 
   /// Optional world setup (peers, files) run against the session before
@@ -102,10 +106,10 @@ struct FleetReport {
   std::string toJson() const;
 };
 
-/// Runs submitted session specs on a bounded worker set, multiplexing
-/// all demo streams through one shared AsyncDemoBackend. Not reusable
-/// concurrently: submit() then runAll() from one controlling thread
-/// (runAll may be called again after further submits).
+/// Runs submitted session specs on a bounded worker set. Owns no thread
+/// outside runAll(). Not reusable concurrently: submit() then runAll()
+/// from one controlling thread (runAll may be called again after further
+/// submits).
 class SessionPool {
 public:
   struct Options {
@@ -113,9 +117,7 @@ public:
     unsigned Concurrency = 0;
 
     /// Root directory for fleet recordings: session \c Name records into
-    /// DemoRoot/Name through the shared backend. Empty leaves each
-    /// spec's own Flush policy alone (an explicitly set per-spec
-    /// Flush.Directory is still routed through the shared backend).
+    /// DemoRoot/Name. Empty leaves each spec's own Flush policy alone.
     std::string DemoRoot;
 
     /// Flush cadence applied to DemoRoot recordings. Every recording
@@ -125,9 +127,6 @@ public:
     /// How long to wait for a salvaged session's stragglers to retire
     /// before parking it as a zombie.
     uint64_t RetireTimeoutMs = 2000;
-
-    /// Backend queue budget (backpressure threshold).
-    size_t MaxQueuedBytes = size_t(32) << 20;
   };
 
   SessionPool();
@@ -140,8 +139,11 @@ public:
   void submit(PoolSessionSpec Spec);
 
   /// Runs every queued spec to completion (bounded concurrency) and
-  /// returns the fleet rollup. Salvaged sessions are retired; parked
-  /// schedulers whose stragglers exited are drained before returning.
+  /// returns the fleet rollup. Before any session starts, fatal()s naming
+  /// the spec when a recording's DemoRoot name is not one path component
+  /// or two recordings would write the same directory. Salvaged sessions
+  /// are retired; parked schedulers whose stragglers exited are drained
+  /// before returning.
   FleetReport runAll();
 
   /// Salvaged sessions whose stragglers have still not exited. Each one
@@ -152,9 +154,6 @@ public:
   /// returns how many were reclaimed.
   size_t reapZombies(uint64_t TimeoutMs);
 
-  /// The shared writer backend (tests drive it directly).
-  AsyncDemoBackend &backend() { return Backend; }
-
 private:
   struct Zombie {
     std::unique_ptr<Session> S;
@@ -164,8 +163,10 @@ private:
   PoolSessionResult runOne(PoolSessionSpec &&Spec, size_t Index,
                            size_t &RetiredOut, size_t &LeakedOut);
 
+  /// The demo directory \p Spec records into, or "" when it writes none.
+  std::string recordDirectory(const PoolSessionSpec &Spec) const;
+
   Options Opts;
-  AsyncDemoBackend Backend;
   std::deque<PoolSessionSpec> Pending;
 
   mutable std::mutex ZombiesMu;

@@ -1047,7 +1047,6 @@ void Scheduler::maybeFlushLocked() {
 void Scheduler::flushRecordStreamsLocked(bool Final) {
   if (Opts.ExecMode != Mode::Record || !Opts.LiveWriter)
     return;
-  ChunkedDemoWriter &W = *Opts.LiveWriter;
   if (QueueLog)
     QueueLog->flush(); // safe mid-run: splitting an RLE run decodes the same
   if (TSR_UNLIKELY(Trace != nullptr))
@@ -1059,24 +1058,29 @@ void Scheduler::flushRecordStreamsLocked(bool Final) {
   // Every stream gets a chunk at every flush — even an empty one — so the
   // four data streams always share the same frontier sequence and salvage
   // can cross-trim them consistently.
-  W.appendChunk(StreamKind::Queue, QueueBytes.data() + QueueFlushed,
-                QueueBytes.size() - QueueFlushed, CurTick);
-  QueueFlushed = QueueBytes.size();
-  W.appendChunk(StreamKind::Signal, SignalBytes.data() + SignalFlushed,
-                SignalBytes.size() - SignalFlushed, CurTick);
-  SignalFlushed = SignalBytes.size();
-  W.appendChunk(StreamKind::Async, AsyncBytes.data() + AsyncFlushed,
-                AsyncBytes.size() - AsyncFlushed, CurTick);
-  AsyncFlushed = AsyncBytes.size();
+  appendRecordChunksLocked(CurTick);
   LastFlushTick = CurTick;
   ++Stats.DemoFlushes;
   if (Opts.SyscallFlushHook)
     Opts.SyscallFlushHook(CurTick, Final);
   if (Final) {
-    W.closeStream(StreamKind::Queue);
-    W.closeStream(StreamKind::Signal);
-    W.closeStream(StreamKind::Async);
+    Opts.LiveWriter->closeStream(StreamKind::Queue);
+    Opts.LiveWriter->closeStream(StreamKind::Signal);
+    Opts.LiveWriter->closeStream(StreamKind::Async);
   }
+}
+
+void Scheduler::appendRecordChunksLocked(uint64_t Tick) {
+  ChunkedDemoWriter &W = *Opts.LiveWriter;
+  W.appendChunk(StreamKind::Queue, QueueBytes.data() + QueueFlushed,
+                QueueBytes.size() - QueueFlushed, Tick);
+  QueueFlushed = QueueBytes.size();
+  W.appendChunk(StreamKind::Signal, SignalBytes.data() + SignalFlushed,
+                SignalBytes.size() - SignalFlushed, Tick);
+  SignalFlushed = SignalBytes.size();
+  W.appendChunk(StreamKind::Async, AsyncBytes.data() + AsyncFlushed,
+                AsyncBytes.size() - AsyncFlushed, Tick);
+  AsyncFlushed = AsyncBytes.size();
 }
 
 std::optional<uint64_t> Scheduler::emergencyFlush() {
@@ -1101,18 +1105,9 @@ std::optional<uint64_t> Scheduler::emergencyFlush() {
     return std::nullopt;
   }
   const uint64_t Tick = CurTick;
-  ChunkedDemoWriter &W = *Opts.LiveWriter;
   if (QueueLog)
     QueueLog->flush();
-  W.appendChunk(StreamKind::Queue, QueueBytes.data() + QueueFlushed,
-                QueueBytes.size() - QueueFlushed, Tick);
-  QueueFlushed = QueueBytes.size();
-  W.appendChunk(StreamKind::Signal, SignalBytes.data() + SignalFlushed,
-                SignalBytes.size() - SignalFlushed, Tick);
-  SignalFlushed = SignalBytes.size();
-  W.appendChunk(StreamKind::Async, AsyncBytes.data() + AsyncFlushed,
-                AsyncBytes.size() - AsyncFlushed, Tick);
-  AsyncFlushed = AsyncBytes.size();
+  appendRecordChunksLocked(Tick);
   Mu.unlock();
   if (PipelineEnabled)
     AsyncGate.fetch_sub(1, std::memory_order_release);

@@ -537,6 +537,9 @@ private:
   void deadlockCheckLocked();
   void maybeFlushLocked();
   void flushRecordStreamsLocked(bool Final);
+  /// Appends the unflushed QUEUE, SIGNAL and ASYNC suffixes to the live
+  /// writer as one chunk each at \p Tick and advances their cursors.
+  void appendRecordChunksLocked(uint64_t Tick);
   void hardDesyncLocked(DesyncReport Report);
   void softDesyncLocked(DesyncReport Report);
   void fillCursorsLocked(DesyncReport &Report) const;

@@ -12,13 +12,15 @@
 // the rejection of demos written in another format version.
 //
 // The kill matrix forks real child processes: each child records pbzip
-// with incremental flushing while the parent kills it (or it kills
-// itself) after a varied delay.
+// (or litmus) with incremental flushing, alone or as the one session of a
+// SessionPool, while the parent kills it (or it kills itself) after a
+// varied delay.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/litmus/Litmus.h"
 #include "apps/pbzip/Pbzip.h"
+#include "runtime/SessionPool.h"
 #include "runtime/Tsr.h"
 #include "support/DemoWriter.h"
 
@@ -72,6 +74,10 @@ std::vector<uint8_t> workloadInput(int Repeats) {
 /// frontier must cross-trim against QUEUE).
 enum class Workload { Pbzip, Litmus };
 
+/// Who drives the crashed recording: a Session of its own, or a one-
+/// session SessionPool recording under a DemoRoot.
+enum class Recorder { Solo, Pool };
+
 /// The litmus workload: the whole suite, over and over, inside one
 /// session. \p Repeats scales the run long enough to kill mid-flight.
 void runLitmusRounds(int Repeats) {
@@ -87,31 +93,48 @@ std::string freshDir(const std::string &Tag) {
   return Dir;
 }
 
-/// Records the pbzip workload with incremental flushing into \p Dir.
+/// Records workload \p W with incremental flushing into \p Dir. Under
+/// Recorder::Pool the session runs inside a SessionPool whose DemoRoot is
+/// \p Dir's parent and whose spec is named after \p Dir's last component.
 /// Never returns: _exit(0) on completion (a crash may kill it earlier).
 /// With \p SegvAfterMs >= 0, an uncontrolled watchdog thread raises
 /// SIGSEGV mid-run, exercising the fatal-signal emergency flush.
 [[noreturn]] void childRecord(const std::string &Dir, Workload W,
-                              int Repeats, int SegvAfterMs) {
+                              int Repeats, int SegvAfterMs, Recorder By) {
   SessionConfig C = fixedSeeds(presets::tsan11rec(
       StrategyKind::Queue, Mode::Record, RecordPolicy::full()));
   C.Flush.Directory = Dir;
   C.Flush.EveryTicks = 4;
-  Session S(C);
   const pbzip::PbzipConfig PC = workloadConfig();
-  if (W == Workload::Pbzip)
-    S.env().putFile(PC.InputPath, workloadInput(Repeats));
-  if (SegvAfterMs >= 0)
-    std::thread([SegvAfterMs] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(SegvAfterMs));
-      ::raise(SIGSEGV);
-    }).detach();
-  S.run([&PC, W, Repeats] {
+  auto Setup = [&PC, W, Repeats, SegvAfterMs](Session &S) {
+    if (W == Workload::Pbzip)
+      S.env().putFile(PC.InputPath, workloadInput(Repeats));
+    if (SegvAfterMs >= 0)
+      std::thread([SegvAfterMs] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(SegvAfterMs));
+        ::raise(SIGSEGV);
+      }).detach();
+  };
+  auto Body = [&PC, W, Repeats] {
     if (W == Workload::Pbzip)
       pbzip::compressFile(PC);
     else
       runLitmusRounds(Repeats);
-  });
+  };
+  if (By == Recorder::Pool) {
+    const std::filesystem::path P(Dir);
+    SessionPool::Options PO;
+    PO.DemoRoot = P.parent_path().string();
+    PO.FlushEveryTicks = C.Flush.EveryTicks;
+    PO.Concurrency = 1;
+    SessionPool Pool(PO);
+    Pool.submit({P.filename().string(), C, Setup, Body});
+    Pool.runAll();
+  } else {
+    Session S(C);
+    Setup(S);
+    S.run(Body);
+  }
   ::_exit(0);
 }
 
@@ -140,14 +163,14 @@ RunReport replayOnce(const Demo &D, Workload W, int Repeats) {
 /// before anything salvageable hit the disk (tolerated: the contract is
 /// "never a corrupt demo", not "always a demo").
 void runKillCell(const std::string &Tag, Workload W, int DelayMs,
-                 bool SelfSegv, int Repeats) {
+                 bool SelfSegv, int Repeats, Recorder By = Recorder::Solo) {
   SCOPED_TRACE(Tag + " delay=" + std::to_string(DelayMs) +
                (SelfSegv ? " segv" : " sigkill"));
   const std::string Dir = freshDir(Tag + std::to_string(DelayMs));
   const pid_t Child = ::fork();
   ASSERT_GE(Child, 0);
-  if (Child == 0)
-    childRecord(Dir, W, Repeats, SelfSegv ? DelayMs : -1); // never returns
+  if (Child == 0) // never returns
+    childRecord(Dir, W, Repeats, SelfSegv ? DelayMs : -1, By);
 
   if (!SelfSegv) {
     // Wait until the live writer has created every stream file, then let
@@ -223,6 +246,20 @@ TEST(CrashRecovery, SigkillMidLitmusRecordMatrix) {
   for (int DelayMs : {3, 12, 25})
     runKillCell("litmus", Workload::Litmus, DelayMs, /*SelfSegv=*/false,
                 /*Repeats=*/40);
+}
+
+// A pooled session writes its streams exactly as a solo one does, so a
+// kill or a fatal signal mid-pool leaves the same salvageable prefix.
+TEST(CrashRecovery, SigkillMidPoolRecordMatrix) {
+  for (int DelayMs : {1, 5, 15, 40})
+    runKillCell("pool-sigkill", Workload::Pbzip, DelayMs, /*SelfSegv=*/false,
+                /*Repeats=*/4000, Recorder::Pool);
+}
+
+TEST(CrashRecovery, SigsegvMidPoolRecordMatrix) {
+  for (int DelayMs : {2, 10, 30})
+    runKillCell("pool-sigsegv", Workload::Pbzip, DelayMs, /*SelfSegv=*/true,
+                /*Repeats=*/4000, Recorder::Pool);
 }
 
 //===----------------------------------------------------------------------===//

@@ -980,8 +980,7 @@ TEST(TickCommit, PoolRecordingUnderPipelineMatchesSoloUnderMutex) {
   // SessionPool with the pipelined commit against the same workload
   // recorded solo with the mutex commit. Random strategy, so the
   // schedule is seed-determined; any byte of difference would prove the
-  // pipeline (or the pool's shared writer backend) leaked into the
-  // recording.
+  // pipeline (or running inside the pool) leaked into the recording.
   const std::string SoloDir = commitFreshDir("solo");
   const std::string FleetRoot = commitFreshDir("fleetroot");
 

@@ -4,13 +4,14 @@
 // Controlled Scheduling" (PLDI 2019).
 //
 // The multi-session contract, tested end to end: N independent sessions
-// record concurrently in one process through one shared async writer
-// backend, and (a) a fleet-recorded demo is bit-identical to the same
-// workload recorded solo, (b) every fleet demo replays cleanly, (c) the
-// process-global state the pool depends on — the fatal-signal session
-// registry, the parked-scheduler registry, per-thread TLS slots — is
-// scoped per session and drained on teardown, including after in-pool
-// deadlocks.
+// record concurrently in one process, each into its own demo directory
+// through its own chunked writer, and (a) a fleet-recorded demo is
+// bit-identical to the same workload recorded solo, (b) every fleet demo
+// replays cleanly, (c) the process-global state the pool depends on — the
+// fatal-signal session registry, the parked-scheduler registry,
+// per-thread TLS slots — is scoped per session and drained on teardown,
+// including after in-pool deadlocks, and (d) a batch whose recordings
+// would share a directory is refused before it starts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,6 @@
 #include "apps/pbzip/Pbzip.h"
 #include "runtime/SessionPool.h"
 #include "runtime/Tsr.h"
-#include "support/DemoWriter.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +28,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
@@ -136,7 +137,7 @@ TEST(SessionPool, FleetRecordingMatchesSoloRecordingBitForBit) {
     ASSERT_FALSE(Solo.Deadlocked);
   }
 
-  // Fleet: same seeds, same workload, routed through the shared backend.
+  // Fleet: same seeds, same workload, recorded inside a pool.
   SessionPool::Options PO;
   PO.DemoRoot = FleetRoot;
   PO.FlushEveryTicks = 4;
@@ -157,7 +158,7 @@ TEST(SessionPool, FleetRecordingMatchesSoloRecordingBitForBit) {
 
   // Same schedule, same demo: the in-memory recordings agree and the
   // on-disk stream files (headers, chunk framing, sentinels) are
-  // byte-identical despite one going through the async backend.
+  // byte-identical.
   EXPECT_TRUE(Fleet.Sessions[0].Report.RecordedDemo == Solo.RecordedDemo);
   expectStreamFilesIdentical(SoloDir, FleetRoot + "/pbzip");
 
@@ -436,73 +437,68 @@ TEST(SessionPool, SalvagedWithoutPoolParksSchedulerUntilDrained) {
 }
 
 //===----------------------------------------------------------------------===//
-// AsyncDemoBackend vs. the synchronous writer
+// Recordings that would share a directory are refused before any starts
 //===----------------------------------------------------------------------===//
 
-TEST(SessionPool, BackendFramesAreByteIdenticalToSyncWriter) {
-  const std::string SyncDir = freshDir("wsync");
-  const std::string AsyncDir = freshDir("wasync");
-  std::string Error;
-
-  ChunkedDemoWriter Sync;
-  ASSERT_TRUE(Sync.open(SyncDir, Error)) << Error;
-
-  AsyncDemoBackend Backend;
-  ChunkedDemoWriter Async;
-  ASSERT_TRUE(Async.attach(Backend, AsyncDir, Error)) << Error;
-  EXPECT_TRUE(Async.isAttached());
-  EXPECT_FALSE(Sync.isAttached());
-
-  // Same chunk sequence through both paths, covering empty payloads and
-  // multi-chunk streams.
-  for (uint64_t Frontier = 1; Frontier != 40; ++Frontier) {
-    std::vector<uint8_t> Payload(Frontier * 7);
-    for (size_t I = 0; I != Payload.size(); ++I)
-      Payload[I] = static_cast<uint8_t>(Frontier * 31 + I);
-    const StreamKind Kind = static_cast<StreamKind>(Frontier % NumStreamKinds);
-    Sync.appendChunk(Kind, Payload.data(), Payload.size(), Frontier);
-    Async.appendChunk(Kind, Payload.data(), Payload.size(), Frontier);
+/// Runs one batch of single-atomic-store sessions: one spec per
+/// (name, mode, own Flush.Directory) triple, under \p DemoRoot.
+FleetReport runBatch(
+    const std::string &DemoRoot,
+    const std::vector<std::tuple<std::string, Mode, std::string>> &Specs) {
+  SessionPool::Options PO;
+  PO.DemoRoot = DemoRoot;
+  PO.Concurrency = 2;
+  SessionPool Pool(PO);
+  for (const auto &[Name, M, Dir] : Specs) {
+    PoolSessionSpec Spec;
+    Spec.Name = Name;
+    Spec.Config = fixedSeeds(presets::tsan11rec(StrategyKind::Random, M,
+                                                RecordPolicy::full()));
+    Spec.Config.Flush.Directory = Dir;
+    Spec.Body = [] {
+      Atomic<int> X(0);
+      X.store(1);
+    };
+    Pool.submit(std::move(Spec));
   }
-  Sync.appendChunk(StreamKind::Queue, nullptr, 0, 40);
-  Async.appendChunk(StreamKind::Queue, nullptr, 0, 40);
-  for (unsigned I = 0; I != NumStreamKinds; ++I) {
-    Sync.closeStream(static_cast<StreamKind>(I));
-    Async.closeStream(static_cast<StreamKind>(I));
-  }
-  EXPECT_FALSE(Sync.ioError());
-  EXPECT_FALSE(Async.ioError());
-  Sync.closeAll();
-  Async.closeAll(); // drains + unregisters the backend client
-
-  expectStreamFilesIdentical(SyncDir, AsyncDir);
-  EXPECT_EQ(Backend.queuedBytesForTest(), 0u);
-  std::filesystem::remove_all(SyncDir);
-  std::filesystem::remove_all(AsyncDir);
+  return Pool.runAll();
 }
 
-TEST(SessionPool, BackendBackpressureBoundsQueuedBytes) {
-  // A tiny byte budget forces producers to block until the writer thread
-  // drains; the queue must never exceed budget + one frame.
-  const std::string Dir = freshDir("bp");
-  std::string Error;
-  AsyncDemoBackend Backend(/*MaxQueuedBytes=*/4096);
-  const int Client = Backend.registerStreams(Dir, Error);
-  ASSERT_GE(Client, 0) << Error;
+TEST(SessionPool, RecordingsThatShareADirectoryAreRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string Root = freshDir("dupdir");
+  const Mode Rec = Mode::Record;
 
-  std::vector<uint8_t> Payload(1024, 0x5A);
-  for (int I = 0; I != 256; ++I) {
-    std::vector<uint8_t> Frame;
-    buildChunkFrame(Frame, Payload.data(), Payload.size(),
-                    static_cast<uint64_t>(I + 1));
-    const size_t FrameSize = Frame.size();
-    Backend.submit(Client, StreamKind::Queue, std::move(Frame));
-    EXPECT_LE(Backend.queuedBytesForTest(), 4096 + FrameSize);
-  }
-  Backend.drain(Client);
-  EXPECT_EQ(Backend.queuedBytesForTest(), 0u);
-  EXPECT_FALSE(Backend.ioError(Client));
-  Backend.unregister(Client);
-  std::filesystem::remove_all(Dir);
+  // Two recordings under one name would interleave their chunks in the
+  // same five files; the batch dies naming both specs.
+  EXPECT_DEATH(runBatch(Root, {{"a", Rec, ""}, {"dup", Rec, ""},
+                               {"dup", Rec, ""}}),
+               "recording specs 1 \\('dup'\\) and 2 \\('dup'\\) both "
+               "record into");
+
+  // A name under DemoRoot is exactly one path component.
+  for (const char *Bad : {"", ".", "..", "x/y"})
+    EXPECT_DEATH(runBatch(Root, {{Bad, Rec, ""}}),
+                 "recording spec 0 is named '.*', which is not one "
+                 "directory under DemoRoot")
+        << "name '" << Bad << "'";
+
+  // Without a DemoRoot, specs that bring their own Flush.Directory count
+  // too, however the shared directory is spelled.
+  EXPECT_DEATH(runBatch("", {{"p", Rec, Root + "/own"},
+                             {"q", Rec, Root + "/./own/"}}),
+               "recording specs 0 \\('p'\\) and 1 \\('q'\\) both "
+               "record into");
+
+  // Only recordings own a directory: a free-running spec may share a
+  // recording's name.
+  const FleetReport Fleet =
+      runBatch(Root, {{"dup", Rec, ""}, {"dup", Mode::Free, ""}});
+  EXPECT_EQ(Fleet.SessionsRun, 2u);
+  std::array<Demo::StreamCheck, NumStreamKinds> Checks;
+  std::string Error;
+  EXPECT_TRUE(Demo::verifyDirectory(Root + "/dup", Checks, Error)) << Error;
+  std::filesystem::remove_all(Root);
 }
 
 } // namespace
